@@ -228,21 +228,16 @@ fn batch(
 }
 
 /// Direct Smith–Waterman: bit-identical to `sdp_core::align::sw_mesh`
-/// (score, endpoint, Stats) without simulating the mesh.
-pub fn sw_direct(a: &[u8], b: &[u8], scoring: &Scoring) -> Result<AlignRun, SdpError> {
-    single(a, b, None, scoring, false)
-}
-
-/// Direct banded Smith–Waterman: bit-identical to
-/// `sdp_core::align::sw_banded_mesh`, including the relay cells' idle
-/// busy counts and the empty-wavefront stall cycles.
-pub fn sw_banded_direct(
+/// (score, endpoint, Stats) without simulating the mesh.  With
+/// `band = Some(w)` this includes the relay cells' idle busy counts and
+/// the empty-wavefront stall cycles.
+pub fn sw_direct(
     a: &[u8],
     b: &[u8],
-    band: usize,
+    band: Option<usize>,
     scoring: &Scoring,
 ) -> Result<AlignRun, SdpError> {
-    single(a, b, Some(band), scoring, false)
+    single(a, b, band, scoring, false)
 }
 
 /// Direct Gotoh affine-gap alignment: bit-identical to
@@ -251,22 +246,15 @@ pub fn gotoh_direct(a: &[u8], b: &[u8], scoring: &Scoring) -> Result<AlignRun, S
     single(a, b, None, scoring, true)
 }
 
-/// Direct batched Smith–Waterman: same results and typed errors as
-/// `sdp_core::align::sw_mesh_batch` with the streamed mesh's Stats.
+/// Direct batched Smith–Waterman (one band for the whole batch): same
+/// results and typed errors as `sdp_core::align::sw_mesh_batch` with the
+/// streamed mesh's Stats.
 pub fn sw_direct_batch(
     pairs: &[(&[u8], &[u8])],
+    band: Option<usize>,
     scoring: &Scoring,
 ) -> Result<BatchAlignRun, SdpError> {
-    batch(pairs, None, scoring, false)
-}
-
-/// Direct batched banded Smith–Waterman (one band for the batch).
-pub fn sw_banded_direct_batch(
-    pairs: &[(&[u8], &[u8])],
-    band: usize,
-    scoring: &Scoring,
-) -> Result<BatchAlignRun, SdpError> {
-    batch(pairs, Some(band), scoring, false)
+    batch(pairs, band, scoring, false)
 }
 
 /// Direct batched Gotoh.
@@ -280,10 +268,9 @@ pub fn gotoh_direct_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdp_core::align::{
-        gotoh_mesh, gotoh_mesh_batch, sw_banded_mesh, sw_banded_mesh_batch, sw_mesh, sw_mesh_batch,
-        try_sw_mesh,
-    };
+    use sdp_core::align::{gotoh_mesh, gotoh_mesh_batch, sw_mesh, sw_mesh_batch};
+    use sdp_fault::NoFaults;
+    use sdp_trace::NullSink;
 
     fn word(seed: u64, len: usize) -> Vec<u8> {
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -305,8 +292,8 @@ mod tests {
     fn sw_matches_sim_exactly() {
         for (la, lb) in [(0, 0), (0, 3), (4, 0), (1, 1), (6, 9), (17, 5)] {
             let (a, b) = (word(la as u64, la), word(100 + lb as u64, lb));
-            let sim = sw_mesh(&a, &b, &scheme());
-            let direct = sw_direct(&a, &b, &scheme()).unwrap();
+            let sim = sw_mesh(&a, &b, None, &scheme(), &mut NoFaults, &mut NullSink).unwrap();
+            let direct = sw_direct(&a, &b, None, &scheme()).unwrap();
             assert_eq!(direct, sim, "{la}x{lb}");
         }
     }
@@ -315,8 +302,8 @@ mod tests {
     fn banded_matches_sim_exactly_including_stalls() {
         for (la, lb, band) in [(6, 9, 0), (6, 9, 2), (17, 5, 1), (8, 8, 3), (9, 3, 20)] {
             let (a, b) = (word(la as u64, la), word(7 + lb as u64, lb));
-            let sim = sw_banded_mesh(&a, &b, band, &scheme());
-            let direct = sw_banded_direct(&a, &b, band, &scheme()).unwrap();
+            let sim = sw_mesh(&a, &b, Some(band), &scheme(), &mut NoFaults, &mut NullSink).unwrap();
+            let direct = sw_direct(&a, &b, Some(band), &scheme()).unwrap();
             assert_eq!(direct, sim, "{la}x{lb} band {band}");
             assert_eq!(direct.stats.stall_cycles(), sim.stats.stall_cycles());
         }
@@ -327,7 +314,7 @@ mod tests {
         let sc = Scoring::affine(2, -3, 5, 1);
         for (la, lb) in [(1, 1), (6, 9), (11, 8), (17, 5)] {
             let (a, b) = (word(la as u64, la), word(300 + lb as u64, lb));
-            let sim = gotoh_mesh(&a, &b, &sc);
+            let sim = gotoh_mesh(&a, &b, &sc, &mut NoFaults, &mut NullSink).unwrap();
             let direct = gotoh_direct(&a, &b, &sc).unwrap();
             assert_eq!(direct, sim, "{la}x{lb}");
         }
@@ -343,17 +330,17 @@ mod tests {
             .map(|(a, b)| (a.as_slice(), b.as_slice()))
             .collect();
         assert_eq!(
-            sw_direct_batch(&pairs, &sc).unwrap(),
-            sw_mesh_batch(&pairs, &sc).unwrap()
+            sw_direct_batch(&pairs, None, &sc).unwrap(),
+            sw_mesh_batch(&pairs, None, &sc, &mut NullSink).unwrap()
         );
         assert_eq!(
-            sw_banded_direct_batch(&pairs, 2, &sc).unwrap(),
-            sw_banded_mesh_batch(&pairs, 2, &sc).unwrap()
+            sw_direct_batch(&pairs, Some(2), &sc).unwrap(),
+            sw_mesh_batch(&pairs, Some(2), &sc, &mut NullSink).unwrap()
         );
         let asc = Scoring::affine(2, -3, 5, 1);
         assert_eq!(
             gotoh_direct_batch(&pairs, &asc).unwrap(),
-            gotoh_mesh_batch(&pairs, &asc).unwrap()
+            gotoh_mesh_batch(&pairs, &asc, &mut NullSink).unwrap()
         );
     }
 
@@ -361,18 +348,26 @@ mod tests {
     fn errors_match_sim() {
         let sc = scheme();
         assert!(matches!(
-            sw_direct_batch(&[], &sc),
+            sw_direct_batch(&[], None, &sc),
             Err(SdpError::EmptyBatch)
         ));
         let pairs: Vec<(&[u8], &[u8])> = vec![(b"abc", b"de"), (b"ab", b"de")];
         assert_eq!(
-            sw_direct_batch(&pairs, &sc).err(),
-            sw_mesh_batch(&pairs, &sc).err()
+            sw_direct_batch(&pairs, None, &sc).err(),
+            sw_mesh_batch(&pairs, None, &sc, &mut NullSink).err()
         );
         let msc = Scoring::matrix(2, vec![3, -1, -1, 3], 1, 1, 1);
         assert_eq!(
-            sw_direct(&[0, 2, 0], &[0, 1], &msc).err(),
-            try_sw_mesh(&[0, 2, 0], &[0, 1], &msc).err()
+            sw_direct(&[0, 2, 0], &[0, 1], None, &msc).err(),
+            sw_mesh(
+                &[0, 2, 0],
+                &[0, 1],
+                None,
+                &msc,
+                &mut NoFaults,
+                &mut NullSink
+            )
+            .err()
         );
     }
 }

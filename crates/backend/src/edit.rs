@@ -126,6 +126,8 @@ pub fn edit_direct_batch(pairs: &[(&[u8], &[u8])]) -> Result<BatchEditRun, SdpEr
 mod tests {
     use super::*;
     use sdp_core::edit_array::{edit_distance_mesh, edit_distance_mesh_batch, edit_distance_seq};
+    use sdp_fault::NoFaults;
+    use sdp_trace::NullSink;
 
     fn word(seed: u64, len: usize) -> Vec<u8> {
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -143,7 +145,7 @@ mod tests {
     fn single_matches_sim_exactly() {
         for (la, lb) in [(0, 0), (0, 3), (4, 0), (1, 1), (6, 9), (17, 5)] {
             let (a, b) = (word(la as u64, la), word(100 + lb as u64, lb));
-            let sim = edit_distance_mesh(&a, &b);
+            let sim = edit_distance_mesh(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
             let direct = edit_direct(&a, &b);
             assert_eq!(direct.distance, sim.distance, "{la}x{lb}");
             assert_eq!(direct.cycles, sim.cycles);
@@ -161,7 +163,7 @@ mod tests {
                 .iter()
                 .map(|(a, b)| (a.as_slice(), b.as_slice()))
                 .collect();
-            let sim = edit_distance_mesh_batch(&pairs).unwrap();
+            let sim = edit_distance_mesh_batch(&pairs, &mut NullSink).unwrap();
             let direct = edit_direct_batch(&pairs).unwrap();
             assert_eq!(direct.distances, sim.distances, "bn {bn}");
             assert_eq!(direct.cycles, sim.cycles);
@@ -192,12 +194,12 @@ mod tests {
     fn errors_match_sim() {
         assert_eq!(
             edit_direct_batch(&[]).err(),
-            edit_distance_mesh_batch(&[]).err()
+            edit_distance_mesh_batch(&[], &mut NullSink).err()
         );
         let pairs: Vec<(&[u8], &[u8])> = vec![(b"abc", b"de"), (b"ab", b"de")];
         assert_eq!(
             edit_direct_batch(&pairs).err(),
-            edit_distance_mesh_batch(&pairs).err()
+            edit_distance_mesh_batch(&pairs, &mut NullSink).err()
         );
     }
 }

@@ -231,6 +231,8 @@ mod tests {
     use sdp_core::knapsack_array::{
         knapsack_array, knapsack_array_batch, knapsack_array_recovered,
     };
+    use sdp_fault::NoFaults;
+    use sdp_trace::NullSink;
 
     fn items(raw: &[(u64, u64)]) -> Vec<KnapsackItem> {
         raw.iter().map(|&(w, v)| KnapsackItem::new(w, v)).collect()
@@ -254,7 +256,7 @@ mod tests {
             let its: Vec<KnapsackItem> = (0..n)
                 .map(|_| KnapsackItem::new(next() % 7, next() % 10))
                 .collect();
-            let sim = knapsack_array(&its, capacity);
+            let sim = knapsack_array(&its, capacity, &mut NoFaults, &mut NullSink).unwrap();
             let direct = knapsack_direct(&its, capacity);
             assert_eq!(direct, sim, "case {case}: {its:?} cap {capacity}");
         }
@@ -269,7 +271,7 @@ mod tests {
             let its: Vec<KnapsackItem> = (0..n)
                 .map(|_| KnapsackItem::new(next() % 5, next() % 9))
                 .collect();
-            let (sim, sim_set) = knapsack_array_recovered(&its, capacity);
+            let (sim, sim_set) = knapsack_array_recovered(&its, capacity).unwrap();
             let (direct, direct_set) = knapsack_direct_recovered(&its, capacity);
             assert_eq!(direct, sim, "case {case}");
             assert_eq!(direct_set, sim_set, "case {case}: {its:?} cap {capacity}");
@@ -282,7 +284,7 @@ mod tests {
         let b = items(&[(2, 2), (2, 3)]);
         let c = items(&[(1, 9)]);
         let refs: Vec<&[KnapsackItem]> = vec![&a, &b, &c];
-        let sim = knapsack_array_batch(&refs, 7).unwrap();
+        let sim = knapsack_array_batch(&refs, 7, &mut NullSink).unwrap();
         let direct = knapsack_direct_batch(&refs, 7).unwrap();
         assert_eq!(direct, sim);
         assert!(matches!(
@@ -302,7 +304,7 @@ mod tests {
             let its = items(raw);
             assert_eq!(
                 knapsack_direct(&its, cap),
-                knapsack_array(&its, cap),
+                knapsack_array(&its, cap, &mut NoFaults, &mut NullSink).unwrap(),
                 "{raw:?} cap {cap}"
             );
         }

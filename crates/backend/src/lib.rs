@@ -40,10 +40,7 @@ pub mod knapsack;
 pub mod matmul;
 pub mod multistage;
 
-pub use align::{
-    gotoh_direct, gotoh_direct_batch, sw_banded_direct, sw_banded_direct_batch, sw_direct,
-    sw_direct_batch,
-};
+pub use align::{gotoh_direct, gotoh_direct_batch, sw_direct, sw_direct_batch};
 pub use edit::{edit_direct, edit_direct_batch};
 pub use interval::{bst_direct, chain_direct, chain_steps};
 pub use knapsack::{knapsack_direct, knapsack_direct_batch, knapsack_direct_recovered};

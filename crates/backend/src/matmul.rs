@@ -79,6 +79,7 @@ pub fn matmul_direct_batch<S: Semiring>(
 mod tests {
     use super::*;
     use sdp_semiring::MinPlus;
+    use sdp_trace::NullSink;
 
     fn mat(seed: u64, rows: usize, cols: usize) -> Matrix<MinPlus> {
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -94,7 +95,7 @@ mod tests {
     fn single_matches_sim_exactly() {
         for (p, q, r) in [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 3)] {
             let (a, b) = (mat(p as u64, p, q), mat(100 + r as u64, q, r));
-            let sim = MatmulArray::multiply(&a, &b);
+            let sim = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
             let direct = matmul_direct(&a, &b).unwrap();
             assert_eq!(direct.product, sim.product, "{p}x{q}x{r}");
             assert_eq!(direct.cycles, sim.cycles);
@@ -108,7 +109,7 @@ mod tests {
             let pairs: Vec<_> = (0..bn as u64)
                 .map(|s| (mat(s, 3, 2), mat(50 + s, 2, 4)))
                 .collect();
-            let sim = MatmulArray::multiply_batch(&pairs).unwrap();
+            let sim = MatmulArray::multiply_batch(&pairs, &mut NullSink).unwrap();
             let direct = matmul_direct_batch(&pairs).unwrap();
             assert_eq!(direct.products, sim.products, "bn {bn}");
             assert_eq!(direct.cycles, sim.cycles);
@@ -122,16 +123,16 @@ mod tests {
         let (a, b) = (mat(1, 2, 3), mat(2, 2, 2));
         assert_eq!(
             matmul_direct(&a, &b).err(),
-            MatmulArray::try_multiply(&a, &b).err()
+            MatmulArray::multiply(&a, &b, &mut NullSink).err()
         );
         assert_eq!(
             matmul_direct_batch::<MinPlus>(&[]).err(),
-            MatmulArray::multiply_batch::<MinPlus>(&[]).err()
+            MatmulArray::multiply_batch::<MinPlus, _>(&[], &mut NullSink).err()
         );
         let pairs = vec![(mat(1, 2, 2), mat(2, 2, 2)), (mat(3, 3, 2), mat(4, 2, 2))];
         assert_eq!(
             matmul_direct_batch(&pairs).err(),
-            MatmulArray::multiply_batch(&pairs).err()
+            MatmulArray::multiply_batch(&pairs, &mut NullSink).err()
         );
     }
 }

@@ -425,7 +425,9 @@ pub fn design2_direct_batch(
 mod tests {
     use super::*;
     use sdp_core::{Design1Array, Design2Array};
+    use sdp_fault::NoFaults;
     use sdp_multistage::generate;
+    use sdp_trace::NullSink;
 
     fn strings(m: usize) -> Vec<Vec<Matrix<MinPlus>>> {
         let mut out = Vec::new();
@@ -450,7 +452,7 @@ mod tests {
         for m in 1..=4 {
             let arr = Design1Array::new(m);
             for s in strings(m) {
-                let sim = arr.run(&s);
+                let sim = arr.run(&s, &mut NoFaults, &mut NullSink).unwrap();
                 let direct = design1_direct(m, &s).unwrap();
                 assert_eq!(direct.values, sim.values);
                 assert_eq!(direct.cycles, sim.cycles, "m {m} len {}", s.len());
@@ -466,7 +468,7 @@ mod tests {
             let arr = Design1Array::new(m);
             for s in strings(m) {
                 let refs: Vec<&[Matrix<MinPlus>]> = (0..3).map(|_| s.as_slice()).collect();
-                let sim = arr.run_batch(&refs).unwrap();
+                let sim = arr.run_batch(&refs, &mut NullSink).unwrap();
                 let direct = design1_direct_batch(m, &refs).unwrap();
                 assert_eq!(direct.values, sim.values);
                 assert_eq!(direct.cycles, sim.cycles, "m {m} len {}", s.len());
@@ -480,7 +482,7 @@ mod tests {
         for m in 1..=4 {
             let arr = Design2Array::new(m);
             for s in strings(m) {
-                let sim = arr.run(&s);
+                let sim = arr.run(&s, &mut NoFaults, &mut NullSink).unwrap();
                 let direct = design2_direct(m, &s).unwrap();
                 assert_eq!(direct.values, sim.values);
                 assert_eq!(direct.path, sim.path, "m {m} len {}", s.len());
@@ -501,12 +503,14 @@ mod tests {
         ] {
             assert_eq!(
                 design1_direct(3, &mats).err(),
-                arr.try_run(&mats).err(),
+                arr.run(&mats, &mut NoFaults, &mut NullSink).err(),
                 "{mats:?}"
             );
             assert_eq!(
                 design2_direct(3, &mats).err(),
-                Design2Array::new(3).try_run(&mats).err()
+                Design2Array::new(3)
+                    .run(&mats, &mut NoFaults, &mut NullSink)
+                    .err()
             );
         }
     }

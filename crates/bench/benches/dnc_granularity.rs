@@ -4,6 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdp_core::dnc;
 use sdp_systolic::scheduler::TreeScheduler;
+use sdp_trace::NullSink;
 
 fn bench_granularity(c: &mut Criterion) {
     let mut group = c.benchmark_group("dnc_granularity");
@@ -16,7 +17,14 @@ fn bench_granularity(c: &mut Criterion) {
     });
     for &k in &[64u64, 399, 4096] {
         group.bench_with_input(BenchmarkId::new("tree_schedule_n65536", k), &k, |b, &k| {
-            b.iter(|| black_box(TreeScheduler.simulate(65536, k).rounds));
+            b.iter(|| {
+                black_box(
+                    TreeScheduler
+                        .simulate(65536, k, &mut NullSink)
+                        .unwrap()
+                        .rounds,
+                )
+            });
         });
     }
     group.bench_function("pu_asymptotic_n2e20_c1", |b| {

@@ -13,7 +13,7 @@ fn bench_parallel(c: &mut Criterion) {
     for &k in &[1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("tree_reduce", k), &k, |b, &k| {
             let ex = ParallelExecutor::new(k);
-            b.iter(|| black_box(ex.multiply_string(&mats).1));
+            b.iter(|| black_box(ex.multiply_string(&mats).unwrap().1));
         });
     }
     group.finish();

@@ -3,9 +3,9 @@
 //! Three groups mirror the three tentpole layers:
 //! `kernel` (naive vs blocked vs row-parallel (min,+) matmul),
 //! `batch` (B pipelined instances through one array vs B sequential
-//! runs), and `fastpath` (the plain monomorphized step loop vs the
-//! generic fault/trace loop with `NoFaults` + `NullSink`, which should
-//! cost nothing).
+//! runs), and `fastpath` (the run under `NoFaults` + `NullSink`, whose
+//! hooks compile away, vs the same run counting events into a
+//! `CountingSink`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdp_core::design1::Design1Array;
@@ -13,7 +13,7 @@ use sdp_core::matmul_array::MatmulArray;
 use sdp_fault::NoFaults;
 use sdp_multistage::generate;
 use sdp_semiring::{Matrix, MinPlus};
-use sdp_trace::NullSink;
+use sdp_trace::{CountingSink, NullSink};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
@@ -66,12 +66,12 @@ fn bench_batch(c: &mut Criterion) {
     group.bench_function("design1_sequential_x8", |bch| {
         bch.iter(|| {
             for s in &strings {
-                black_box(d1.run(s));
+                black_box(d1.run(s, &mut NoFaults, &mut NullSink).unwrap());
             }
         });
     });
     group.bench_function("design1_pipelined_b8", |bch| {
-        bch.iter(|| black_box(d1.run_batch(&refs).unwrap()));
+        bch.iter(|| black_box(d1.run_batch(&refs, &mut NullSink).unwrap()));
     });
     let pairs: Vec<(Matrix<MinPlus>, Matrix<MinPlus>)> = (0..b)
         .map(|s| {
@@ -82,12 +82,12 @@ fn bench_batch(c: &mut Criterion) {
     group.bench_function("matmul_mesh_sequential_x8", |bch| {
         bch.iter(|| {
             for (a, bb) in &pairs {
-                black_box(MatmulArray::multiply(a, bb));
+                black_box(MatmulArray::multiply(a, bb, &mut NullSink).unwrap());
             }
         });
     });
     group.bench_function("matmul_mesh_pipelined_b8", |bch| {
-        bch.iter(|| black_box(MatmulArray::multiply_batch(&pairs).unwrap()));
+        bch.iter(|| black_box(MatmulArray::multiply_batch(&pairs, &mut NullSink).unwrap()));
     });
     group.finish();
 }
@@ -99,14 +99,12 @@ fn bench_fastpath(c: &mut Criterion) {
     let mats = g.matrix_string().to_vec();
     let d1 = Design1Array::new(6);
     group.bench_function("plain_run", |bch| {
-        bch.iter(|| black_box(d1.run(&mats)));
+        bch.iter(|| black_box(d1.run(&mats, &mut NoFaults, &mut NullSink).unwrap()));
     });
-    group.bench_function("generic_nofaults_nullsink", |bch| {
+    group.bench_function("counting_sink", |bch| {
         bch.iter(|| {
-            black_box(
-                d1.run_fault_traced(&mats, &mut NoFaults, &mut NullSink)
-                    .unwrap(),
-            )
+            let mut sink = CountingSink::default();
+            black_box(d1.run(&mats, &mut NoFaults, &mut sink).unwrap())
         });
     });
     group.finish();

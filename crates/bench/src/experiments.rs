@@ -16,9 +16,11 @@ use sdp_core::design1::Design1Array;
 use sdp_core::design2::Design2Array;
 use sdp_core::design3::Design3Array;
 use sdp_core::dnc;
+use sdp_fault::NoFaults;
 use sdp_multistage::{generate, solve};
 use sdp_semiring::Cost;
 use sdp_trace::json::Json;
+use sdp_trace::NullSink;
 
 fn rows_json(rows: Vec<Json>) -> Json {
     Json::object().with("rows", Json::Array(rows))
@@ -36,7 +38,9 @@ pub fn report_e1() -> Report {
     let mut metrics = Vec::new();
     for &(stages, m) in &[(4usize, 3usize), (6, 3), (10, 4), (20, 4), (40, 8), (80, 8)] {
         let g = generate::random_single_source_sink(9, stages, m, 0, 50);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = Design1Array::new(m)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .expect("a well-shaped matrix string");
         let dp = solve::forward_dp(&g);
         let n_mats = (stages - 1) as u64;
         let serial = solve::SerialCounts::matrix_string(n_mats, m as u64);
@@ -85,8 +89,12 @@ pub fn report_e2() -> Report {
     let mut metrics = Vec::new();
     for &(stages, m) in &[(4usize, 3usize), (8, 5), (16, 4), (40, 8)] {
         let g = generate::random_single_source_sink(11, stages, m, 0, 50);
-        let d1 = Design1Array::new(m).run(g.matrix_string());
-        let d2 = Design2Array::new(m).run(g.matrix_string());
+        let d1 = Design1Array::new(m)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .expect("a well-shaped matrix string");
+        let d2 = Design2Array::new(m)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .expect("a well-shaped matrix string");
         let dp = solve::forward_dp(&g);
         report.rows.push(vec![
             format!("{stages}"),
@@ -139,7 +147,9 @@ pub fn report_e3() -> Report {
             -30,
             30,
         );
-        let res = Design3Array::new(m).run(&g);
+        let res = Design3Array::new(m)
+            .run(&g, &mut NoFaults, &mut NullSink)
+            .expect("stages of width m");
         let ms = g.to_multistage();
         let dp = solve::backward_dp(&ms);
         let serial = solve::SerialCounts::node_value(n as u64, m as u64);
@@ -488,7 +498,9 @@ pub fn report_table1() -> Report {
         .push("\nEnd-to-end demonstrations:".to_string());
     // monadic-serial: Design 3 on a traffic problem
     let g = generate::traffic_light(1, 6, 4);
-    let d3 = Design3Array::new(4).run(&g);
+    let d3 = Design3Array::new(4)
+        .run(&g, &mut NoFaults, &mut NullSink)
+        .expect("stages of width m");
     report.notes.push(format!(
         "  monadic-serial      traffic-light timing, Design 3: cost {} in {} cycles",
         d3.cost, d3.cycles
@@ -565,7 +577,7 @@ pub fn report_e12() -> Report {
         let ex = dnc::ParallelExecutor::new(k);
         let threads = ex.workers();
         let t0 = Instant::now();
-        let (par, rounds) = ex.multiply_string(mats);
+        let (par, rounds) = ex.multiply_string(mats).expect("a square matrix string");
         let el = t0.elapsed();
         assert_eq!(par, seq);
         let speedup = seq_time.as_secs_f64() / el.as_secs_f64();
@@ -805,7 +817,9 @@ pub fn report_e17() -> Report {
         let g = generate::random_uniform(3, n as usize + 1, m, 0, 50);
         let t1 = MatmulArray::t1(m, m, m);
         for &k in &[1u64, 4, 16] {
-            let (prod, cycles) = MatmulArray::multiply_string_dnc(g.matrix_string(), k);
+            let (prod, cycles) =
+                MatmulArray::multiply_string_dnc(g.matrix_string(), k, &mut NullSink)
+                    .expect("a square matrix string");
             assert_eq!(
                 prod,
                 sdp_semiring::Matrix::string_product(g.matrix_string())
@@ -914,7 +928,9 @@ pub fn report_e19() -> Report {
             let det = img.detect(cfg);
             acc_sum += img.accuracy(&det.rows, 1);
             let g = img.to_multistage(cfg);
-            let d1 = Design1Array::new(12).run(g.matrix_string());
+            let d1 = Design1Array::new(12)
+                .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .expect("a well-shaped matrix string");
             systolic_ok &= d1.values.iter().copied().fold(Cost::INF, Cost::min) == det.cost;
         }
         let mean_accuracy = acc_sum / trials as f64;
@@ -951,7 +967,8 @@ pub fn report_e20() -> Report {
     ];
     let mut metrics = Vec::new();
     for (a, b) in cases {
-        let run = edit_distance_mesh(a, b);
+        let run = edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink)
+            .expect("byte strings always align");
         let seq = edit_distance_seq(a, b);
         assert_eq!(run.distance, seq);
         let utilization = run.stats.utilization().overall;
@@ -1020,7 +1037,9 @@ pub fn report_degradation() -> Report {
     let m = 4usize;
     let g = generate::random_single_source_sink(SEED, 6, m, 0, 100);
     let array = Design1Array::new(m);
-    let clean = array.run(g.matrix_string());
+    let clean = array
+        .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .expect("a well-shaped matrix string");
 
     let n = 12usize; // matrices in the executor string
     let k = 3usize; // worker arrays
@@ -1050,7 +1069,7 @@ pub fn report_degradation() -> Report {
         // answer (they may be absorbed by the minimization)?
         let mut sink = CountingSink::default();
         let faulty = array
-            .run_fault_traced(
+            .run(
                 g.matrix_string(),
                 &mut PlanInjector::new(plan.clone()),
                 &mut sink,
@@ -1260,8 +1279,13 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
     let refs: Vec<&[sdp_semiring::Matrix<MinPlus>]> =
         strings.iter().map(|s| s.as_slice()).collect();
     let d1 = Design1Array::new(m);
-    let single = d1.run(&strings[0]);
-    let (batch, batch_ms) = timed(|| d1.run_batch(&refs).unwrap());
+    let single = d1
+        .run(&strings[0], &mut NoFaults, &mut NullSink)
+        .expect("a well-shaped matrix string");
+    let (batch, batch_ms) = timed(|| {
+        d1.run_batch(&refs, &mut NullSink)
+            .expect("same-shaped instances")
+    });
     push_batch(
         &mut report,
         "design1",
@@ -1276,8 +1300,13 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
     // Design 2: broadcast array — no fill/drain to overlap, so the
     // batch is an exact concatenation (reported for completeness).
     let d2 = Design2Array::new(m);
-    let single = d2.run(&strings[0]);
-    let (batch, batch_ms) = timed(|| d2.run_batch(&refs).unwrap());
+    let single = d2
+        .run(&strings[0], &mut NoFaults, &mut NullSink)
+        .expect("a well-shaped matrix string");
+    let (batch, batch_ms) = timed(|| {
+        d2.run_batch(&refs, &mut NullSink)
+            .expect("same-shaped instances")
+    });
     push_batch(
         &mut report,
         "design2",
@@ -1306,8 +1335,13 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
         .collect();
     let grefs: Vec<&sdp_multistage::NodeValueGraph> = graphs.iter().collect();
     let d3 = Design3Array::new(m3);
-    let single = d3.run(&graphs[0]);
-    let (batch, batch_ms) = timed(|| d3.run_batch(&grefs).unwrap());
+    let single = d3
+        .run(&graphs[0], &mut NoFaults, &mut NullSink)
+        .expect("stages of width m");
+    let (batch, batch_ms) = timed(|| {
+        d3.run_batch(&grefs, &mut NullSink)
+            .expect("same-shaped instances")
+    });
     push_batch(
         &mut report,
         "design3",
@@ -1327,9 +1361,11 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
             (g.matrix_string()[0].clone(), g.matrix_string()[1].clone())
         })
         .collect();
-    let single = MatmulArray::multiply(&pairs[0].0, &pairs[0].1);
+    let single = MatmulArray::multiply(&pairs[0].0, &pairs[0].1, &mut NullSink)
+        .expect("conformable operands");
     let single_pu = single.stats.processor_utilization((mm * mm * mm) as u64);
-    let (batch, batch_ms) = timed(|| MatmulArray::multiply_batch(&pairs).unwrap());
+    let (batch, batch_ms) =
+        timed(|| MatmulArray::multiply_batch(&pairs, &mut NullSink).expect("same-shaped products"));
     push_batch(
         &mut report,
         "matmul_mesh",
@@ -1353,9 +1389,11 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
         .iter()
         .map(|(x, y)| (x.as_slice(), y.as_slice()))
         .collect();
-    let single = edit_distance_mesh(&words[0].0, &words[0].1);
+    let single = edit_distance_mesh(&words[0].0, &words[0].1, &mut NoFaults, &mut NullSink)
+        .expect("byte strings always align");
     let single_pu = single.stats.processor_utilization((8 * 8) as u64);
-    let (batch, batch_ms) = timed(|| edit_distance_mesh_batch(&epairs).unwrap());
+    let (batch, batch_ms) =
+        timed(|| edit_distance_mesh_batch(&epairs, &mut NullSink).expect("same-length pairs"));
     push_batch(
         &mut report,
         "edit_mesh",
@@ -1367,55 +1405,46 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
         "",
     );
 
-    // ---- 3. Zero-overhead fast path: the monomorphized NullSink +
-    // NoFaults loop costs the same through the generic fault/trace API
-    // as through the plain entry point, and tracing pays only when on.
+    // ---- 3. Fast path: the run under a NullSink costs what the engine
+    // costs, and tracing pays only when a real sink is attached.
     let og = generate::random_single_source_sink(31, 24, 6, 0, 100);
     let omats = og.matrix_string();
     let oarr = Design1Array::new(6);
     let (_, plain_ms) = timed(|| {
         for _ in 0..reps {
-            std::hint::black_box(oarr.run(omats));
-        }
-    });
-    let (_, generic_ms) = timed(|| {
-        for _ in 0..reps {
             std::hint::black_box(
-                oarr.run_fault_traced(omats, &mut sdp_fault::NoFaults, &mut sdp_trace::NullSink)
-                    .unwrap(),
+                oarr.run(omats, &mut NoFaults, &mut NullSink)
+                    .expect("a well-shaped matrix string"),
             );
         }
     });
     let (_, counting_ms) = timed(|| {
         for _ in 0..reps {
             let mut sink = CountingSink::default();
-            std::hint::black_box(oarr.run_traced(omats, &mut sink));
+            std::hint::black_box(
+                oarr.run(omats, &mut NoFaults, &mut sink)
+                    .expect("a well-shaped matrix string"),
+            );
         }
     });
     report.rows.push(vec![
         "fastpath".into(),
         "design1 (24 stages, m=6)".into(),
         format!("{plain_ms:.2}"),
-        format!(
-            "x{reps}; generic NoFaults+NullSink {:.2}x, CountingSink {:.2}x",
-            generic_ms / plain_ms,
-            counting_ms / plain_ms
-        ),
+        format!("x{reps}; CountingSink {:.2}x", counting_ms / plain_ms),
     ]);
     let overhead_rows = vec![Json::object()
         .with("engine", "design1")
         .with("reps", reps as u64)
         .with("plain_ms", plain_ms)
-        .with("generic_nofaults_ms", generic_ms)
         .with("counting_ms", counting_ms)
-        .with("generic_overhead_x", generic_ms / plain_ms)
         .with("tracing_overhead_x", counting_ms / plain_ms)];
 
     report.notes = vec![
         "kernel: all variants asserted bit-identical to the naive oracle before timing.".into(),
         "batch: cycles and PU are deterministic; ms columns are host wall-clock.".into(),
-        "fastpath: generic_overhead_x ~ 1.0 shows the NoFaults+NullSink monomorphization\n\
-         adds nothing over the plain entry point."
+        "fastpath: tracing_overhead_x is the CountingSink run over the NullSink run\n\
+         of the same entry point."
             .into(),
     ];
     report.metrics = Json::object()
@@ -2130,7 +2159,7 @@ fn report_e26_sized(clients: usize, reqs_per_client: usize, seeds: &[u64]) -> Re
     let mut kinds_doc = Json::object();
     for (i, kind) in CHAOS_ERROR_KINDS.iter().enumerate() {
         let n: u64 = campaigns.iter().map(|(_, c)| c.kinds[i]).sum();
-        kinds_doc = kinds_doc.with(*kind, n);
+        kinds_doc = kinds_doc.with(kind, n);
     }
     let mut injected_doc = Json::object();
     for i in 0..4 {
@@ -2177,6 +2206,14 @@ pub fn report_e27() -> Report {
     report_e27_sized(5, 3)
 }
 
+/// One ramp of a sim-vs-direct sweep: class name, class, and the
+/// labelled request bodies at each ramp point.
+type Ramp = (
+    &'static str,
+    sdp_serve::protocol::Class,
+    Vec<(String, sdp_serve::protocol::Body)>,
+);
+
 /// [`report_e27`] shrunk for the CI smoke job: the first three ramp
 /// sizes per class, fewer reps.  Identical schema, so the golden
 /// schema-diff runs on this variant.
@@ -2219,7 +2256,7 @@ fn report_e27_sized(ramp_len: usize, reps: usize) -> Report {
             mats: (0..n).map(|_| minplus_matrix(&mut s, m, m)).collect(),
         }
     };
-    let ramps: Vec<(&str, Class, Vec<(String, Body)>)> = vec![
+    let ramps: Vec<Ramp> = vec![
         (
             "multistage1",
             Class::Multistage1,
@@ -2457,7 +2494,7 @@ fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
             capacity,
         }
     };
-    let ramps: Vec<(&str, Class, Vec<(String, Body)>)> = vec![
+    let ramps: Vec<Ramp> = vec![
         (
             "align",
             Class::Align,
@@ -2740,7 +2777,9 @@ mod tests {
         // systolic and dp columns must agree: spot-check via absence of
         // mismatch markers is weak, so re-verify directly:
         let g = generate::random_single_source_sink(9, 10, 4, 0, 50);
-        let res = Design1Array::new(4).run(g.matrix_string());
+        let res = Design1Array::new(4)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .expect("a well-shaped matrix string");
         assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 

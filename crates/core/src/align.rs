@@ -537,9 +537,20 @@ fn finish(best: BestCell, cycles: u64, stats: Stats) -> AlignRun {
     }
 }
 
-/// The one true single-run Smith–Waterman driver (banded when `band`
-/// is `Some`).
-fn sw_core<F: FaultInjector, S: TraceSink>(
+/// Smith–Waterman local alignment on the wavefront mesh.
+///
+/// With `band = Some(w)` only cells with `|i − j| ≤ w` compute; the
+/// rest of the mesh relays the wavefront, and a band that covers the
+/// whole matrix is bit-identical to `None`.  PE indices in `sink`'s
+/// events are row-major over the `|a| × |b|` mesh.  `injector` may
+/// corrupt PE output words: both word types carry `H[i][j]` in the
+/// leading position, so faults perturb the cell value while the argmax
+/// bookkeeping and the wavefront timing stay intact — silent data
+/// corruption, never a wedged pipeline.
+///
+/// Empty operands short-circuit to the empty alignment (score 0, no
+/// endpoint, zero PEs).
+pub fn sw_mesh<F: FaultInjector, S: TraceSink>(
     a: &[u8],
     b: &[u8],
     band: Option<usize>,
@@ -572,7 +583,7 @@ fn sw_core<F: FaultInjector, S: TraceSink>(
     let total = (p + q - 1) as u64;
     let mut best = NO_BEST;
     for t in 0..total {
-        let (east, south) = mesh.cycle_fault_traced(
+        let (east, south) = mesh.cycle_fault(
             |r| (r as u64 == t).then_some((0, NO_BEST)),
             |c| (c as u64 == t).then_some((0, (0, NO_BEST))),
             |_, _| (),
@@ -591,8 +602,10 @@ fn sw_core<F: FaultInjector, S: TraceSink>(
     Ok(finish(best, mesh.stats().cycles(), mesh.stats().clone()))
 }
 
-/// The one true batched Smith–Waterman driver.
-fn sw_batch_core<S: TraceSink>(
+/// Streams a batch of same-shaped pairs through one mesh, wavefronts
+/// one cycle apart (`p + q − 2 + B` cycles total).  `band` applies to
+/// the whole batch.
+pub fn sw_mesh_batch<S: TraceSink>(
     pairs: &[(&[u8], &[u8])],
     band: Option<usize>,
     scoring: &Scoring,
@@ -641,7 +654,7 @@ fn sw_batch_core<S: TraceSink>(
     let total = (p + q - 2 + bn) as u64;
     let mut bests = Vec::with_capacity(bn);
     for t in 0..total {
-        let (east, _south) = mesh.cycle_traced(
+        let (east, _south) = mesh.cycle(
             |r| {
                 let inst = t as i64 - r as i64;
                 (0..bn as i64).contains(&inst).then_some((0, NO_BEST))
@@ -670,144 +683,12 @@ fn sw_batch_core<S: TraceSink>(
     })
 }
 
-/// Smith–Waterman local alignment on the wavefront mesh.
-///
-/// Empty operands short-circuit to the empty alignment (score 0, no
-/// endpoint, zero PEs).
-pub fn sw_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> AlignRun {
-    sw_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// [`sw_mesh`] with an event sink; PE indices are row-major over the
-/// `|a| × |b|` mesh.
-pub fn sw_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> AlignRun {
-    try_sw_mesh_traced(a, b, scoring, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`sw_mesh`].
-pub fn try_sw_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> Result<AlignRun, SdpError> {
-    try_sw_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// Non-panicking [`sw_mesh_traced`].
-pub fn try_sw_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, None, scoring, &mut NoFaults, sink)
-}
-
-/// [`sw_mesh_traced`] under fault injection.  Both word types carry
-/// `H[i][j]` in the leading position, so faults perturb the cell value
-/// while the argmax bookkeeping and the wavefront timing stay intact —
-/// silent data corruption, never a wedged pipeline.
-pub fn sw_fault_traced<F: FaultInjector, S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    injector: &mut F,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, None, scoring, injector, sink)
-}
-
-/// Streams a batch of same-shaped pairs through one mesh, wavefronts
-/// one cycle apart (`p + q − 2 + B` cycles total).
-pub fn sw_mesh_batch(
-    pairs: &[(&[u8], &[u8])],
-    scoring: &Scoring,
-) -> Result<BatchAlignRun, SdpError> {
-    sw_mesh_batch_traced(pairs, scoring, &mut NullSink)
-}
-
-/// [`sw_mesh_batch`] with an event sink.
-pub fn sw_mesh_batch_traced<S: TraceSink>(
-    pairs: &[(&[u8], &[u8])],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<BatchAlignRun, SdpError> {
-    sw_batch_core(pairs, None, scoring, sink)
-}
-
-/// Banded Smith–Waterman: only cells with `|i − j| ≤ band` compute;
-/// the rest of the mesh relays the wavefront.  `band ≥ max(|a|, |b|)`
-/// is bit-identical to [`sw_mesh`].
-pub fn sw_banded_mesh(a: &[u8], b: &[u8], band: usize, scoring: &Scoring) -> AlignRun {
-    sw_banded_mesh_traced(a, b, band, scoring, &mut NullSink)
-}
-
-/// [`sw_banded_mesh`] with an event sink.
-pub fn sw_banded_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-    sink: &mut S,
-) -> AlignRun {
-    try_sw_banded_mesh_traced(a, b, band, scoring, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`sw_banded_mesh`].
-pub fn try_sw_banded_mesh(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-) -> Result<AlignRun, SdpError> {
-    try_sw_banded_mesh_traced(a, b, band, scoring, &mut NullSink)
-}
-
-/// Non-panicking [`sw_banded_mesh_traced`].
-pub fn try_sw_banded_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, Some(band), scoring, &mut NoFaults, sink)
-}
-
-/// [`sw_banded_mesh_traced`] under fault injection.
-pub fn sw_banded_fault_traced<F: FaultInjector, S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-    injector: &mut F,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, Some(band), scoring, injector, sink)
-}
-
-/// Batched banded Smith–Waterman (one band for the whole batch).
-pub fn sw_banded_mesh_batch(
-    pairs: &[(&[u8], &[u8])],
-    band: usize,
-    scoring: &Scoring,
-) -> Result<BatchAlignRun, SdpError> {
-    sw_banded_mesh_batch_traced(pairs, band, scoring, &mut NullSink)
-}
-
-/// [`sw_banded_mesh_batch`] with an event sink.
-pub fn sw_banded_mesh_batch_traced<S: TraceSink>(
-    pairs: &[(&[u8], &[u8])],
-    band: usize,
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<BatchAlignRun, SdpError> {
-    sw_batch_core(pairs, Some(band), scoring, sink)
-}
-
-/// The one true Gotoh driver.
-fn gotoh_core<F: FaultInjector, S: TraceSink>(
+/// Gotoh affine-gap local alignment on the wavefront mesh: three DP
+/// layers (`H`, `E`, `F`) interleaved in every PE, same
+/// `|a| + |b| − 1`-cycle schedule as [`sw_mesh`].  Faults from
+/// `injector` perturb `H`, keeping the `E`/`F` layers and the argmax
+/// bookkeeping intact.
+pub fn gotoh_mesh<F: FaultInjector, S: TraceSink>(
     a: &[u8],
     b: &[u8],
     scoring: &Scoring,
@@ -839,7 +720,7 @@ fn gotoh_core<F: FaultInjector, S: TraceSink>(
     let total = (p + q - 1) as u64;
     let mut best = NO_BEST;
     for t in 0..total {
-        let (east, south) = mesh.cycle_fault_traced(
+        let (east, south) = mesh.cycle_fault(
             |r| (r as u64 == t).then_some((0, (OUT_OF_BAND, NO_BEST))),
             |c| (c as u64 == t).then_some((0, (OUT_OF_BAND, 0, NO_BEST))),
             |_, _| (),
@@ -856,60 +737,8 @@ fn gotoh_core<F: FaultInjector, S: TraceSink>(
     Ok(finish(best, mesh.stats().cycles(), mesh.stats().clone()))
 }
 
-/// Gotoh affine-gap local alignment on the wavefront mesh: three DP
-/// layers (`H`, `E`, `F`) interleaved in every PE, same
-/// `|a| + |b| − 1`-cycle schedule as [`sw_mesh`].
-pub fn gotoh_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> AlignRun {
-    gotoh_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// [`gotoh_mesh`] with an event sink.
-pub fn gotoh_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> AlignRun {
-    try_gotoh_mesh_traced(a, b, scoring, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`gotoh_mesh`].
-pub fn try_gotoh_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> Result<AlignRun, SdpError> {
-    try_gotoh_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// Non-panicking [`gotoh_mesh_traced`].
-pub fn try_gotoh_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    gotoh_core(a, b, scoring, &mut NoFaults, sink)
-}
-
-/// [`gotoh_mesh_traced`] under fault injection (perturbs `H`, keeps
-/// the `E`/`F` layers and argmax bookkeeping intact).
-pub fn gotoh_fault_traced<F: FaultInjector, S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    injector: &mut F,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    gotoh_core(a, b, scoring, injector, sink)
-}
-
 /// Streams a batch of same-shaped pairs through one Gotoh mesh.
-pub fn gotoh_mesh_batch(
-    pairs: &[(&[u8], &[u8])],
-    scoring: &Scoring,
-) -> Result<BatchAlignRun, SdpError> {
-    gotoh_mesh_batch_traced(pairs, scoring, &mut NullSink)
-}
-
-/// [`gotoh_mesh_batch`] with an event sink.
-pub fn gotoh_mesh_batch_traced<S: TraceSink>(
+pub fn gotoh_mesh_batch<S: TraceSink>(
     pairs: &[(&[u8], &[u8])],
     scoring: &Scoring,
     sink: &mut S,
@@ -957,7 +786,7 @@ pub fn gotoh_mesh_batch_traced<S: TraceSink>(
     let total = (p + q - 2 + bn) as u64;
     let mut bests = Vec::with_capacity(bn);
     for t in 0..total {
-        let (east, _south) = mesh.cycle_traced(
+        let (east, _south) = mesh.cycle(
             |r| {
                 let inst = t as i64 - r as i64;
                 (0..bn as i64)
@@ -1061,27 +890,16 @@ pub fn recover_local_alignment(
 }
 
 /// [`sw_mesh`] plus traceback: runs the forward pass on the mesh, then
-/// recovers the alignment host-side.
+/// recovers the alignment host-side (the walk respects `band`).
 pub fn sw_mesh_aligned(
     a: &[u8],
     b: &[u8],
+    band: Option<usize>,
     scoring: &Scoring,
-) -> (AlignRun, Option<LocalAlignment>) {
-    let run = sw_mesh(a, b, scoring);
-    let alignment = recover_local_alignment(a, b, None, scoring, &run);
-    (run, alignment)
-}
-
-/// [`sw_banded_mesh`] plus traceback (the walk respects the band).
-pub fn sw_banded_mesh_aligned(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-) -> (AlignRun, Option<LocalAlignment>) {
-    let run = sw_banded_mesh(a, b, band, scoring);
-    let alignment = recover_local_alignment(a, b, Some(band), scoring, &run);
-    (run, alignment)
+) -> Result<(AlignRun, Option<LocalAlignment>), SdpError> {
+    let run = sw_mesh(a, b, band, scoring, &mut NoFaults, &mut NullSink)?;
+    let alignment = recover_local_alignment(a, b, band, scoring, &run);
+    Ok((run, alignment))
 }
 
 #[cfg(test)]
@@ -1092,18 +910,26 @@ mod tests {
         Scoring::simple(2, -1, 1)
     }
 
+    fn sw(a: &[u8], b: &[u8], band: Option<usize>, sc: &Scoring) -> AlignRun {
+        sw_mesh(a, b, band, sc, &mut NoFaults, &mut NullSink).unwrap()
+    }
+
+    fn gotoh(a: &[u8], b: &[u8], sc: &Scoring) -> AlignRun {
+        gotoh_mesh(a, b, sc, &mut NoFaults, &mut NullSink).unwrap()
+    }
+
     #[test]
     fn known_scores() {
         // The classic SW example pair; the mesh must agree with the
         // scalar recurrence cell for cell.
-        let run = sw_mesh(b"acacacta", b"agcacaca", &scheme());
+        let run = sw(b"acacacta", b"agcacaca", None, &scheme());
         assert_eq!(run.score, sw_seq(b"acacacta", b"agcacaca", &scheme()));
         assert!(run.score > 0);
         assert_eq!(run.cycles, 8 + 8 - 1);
         // Identical strings: every symbol matches.
-        assert_eq!(sw_mesh(b"abc", b"abc", &scheme()).score, 6);
+        assert_eq!(sw(b"abc", b"abc", None, &scheme()).score, 6);
         // Nothing in common: the empty alignment.
-        let run = sw_mesh(b"aaa", b"bbb", &Scoring::simple(1, -2, 2));
+        let run = sw(b"aaa", b"bbb", None, &Scoring::simple(1, -2, 2));
         assert_eq!(run.score, 0);
         assert_eq!(run.end, None);
     }
@@ -1111,7 +937,7 @@ mod tests {
     #[test]
     fn empty_operands_are_empty_alignments() {
         for (a, b) in [(&b""[..], &b"abc"[..]), (b"ab", b""), (b"", b"")] {
-            let run = sw_mesh(a, b, &scheme());
+            let run = sw(a, b, None, &scheme());
             assert_eq!(run.score, 0);
             assert_eq!(run.end, None);
             assert_eq!(run.cycles, 0);
@@ -1122,7 +948,7 @@ mod tests {
     #[test]
     fn argmax_is_first_maximum_in_row_major_order() {
         // Two disjoint equal-scoring matches: "ab" appears twice in b.
-        let run = sw_mesh(b"ab", b"abxab", &scheme());
+        let run = sw(b"ab", b"abxab", None, &scheme());
         assert_eq!(run.score, 4);
         assert_eq!(run.end, Some((1, 1)));
     }
@@ -1130,9 +956,17 @@ mod tests {
     #[test]
     fn traced_matches_untraced() {
         use sdp_trace::CountingSink;
-        let plain = sw_mesh(b"acacacta", b"agcacaca", &scheme());
+        let plain = sw(b"acacacta", b"agcacaca", None, &scheme());
         let mut sink = CountingSink::default();
-        let traced = sw_mesh_traced(b"acacacta", b"agcacaca", &scheme(), &mut sink);
+        let traced = sw_mesh(
+            b"acacacta",
+            b"agcacaca",
+            None,
+            &scheme(),
+            &mut NoFaults,
+            &mut sink,
+        )
+        .unwrap();
         assert_eq!(traced, plain);
         assert_eq!(sink.cycles, plain.cycles);
     }
@@ -1153,7 +987,7 @@ mod tests {
         for case in 0..25 {
             let a = next(1 + case % 8);
             let b = next(1 + (case * 5) % 9);
-            let run = sw_mesh(&a, &b, &scheme());
+            let run = sw(&a, &b, None, &scheme());
             assert_eq!(run.score, sw_seq(&a, &b, &scheme()), "a={a:?} b={b:?}");
         }
     }
@@ -1177,8 +1011,8 @@ mod tests {
     #[test]
     fn banded_with_covering_band_is_bit_identical_to_full() {
         let (a, b) = (&b"acacacta"[..], &b"agcacaca"[..]);
-        let full = sw_mesh(a, b, &scheme());
-        let banded = sw_banded_mesh(a, b, a.len().max(b.len()), &scheme());
+        let full = sw(a, b, None, &scheme());
+        let banded = sw(a, b, Some(a.len().max(b.len())), &scheme());
         assert_eq!(banded, full);
     }
 
@@ -1187,7 +1021,7 @@ mod tests {
         // With band 0 only the main diagonal computes: the one
         // mismatch costs -1 on the way through (2+2-1+2 = 5), while
         // the full mesh could do no better here.
-        let run = sw_banded_mesh(b"abcd", b"abzd", 0, &scheme());
+        let run = sw(b"abcd", b"abzd", Some(0), &scheme());
         assert_eq!(run.score, 5);
         assert_eq!(run.cycles, 4 + 4 - 1); // relays keep the schedule
     }
@@ -1196,7 +1030,7 @@ mod tests {
     fn out_of_band_cells_never_report_busy() {
         let a = vec![b'a'; 5];
         let b = vec![b'a'; 5];
-        let run = sw_banded_mesh(&a, &b, 1, &scheme());
+        let run = sw(&a, &b, Some(1), &scheme());
         let mut active = 0;
         for i in 0..5usize {
             for j in 0..5usize {
@@ -1221,10 +1055,10 @@ mod tests {
             (b"kitten", b"sitting"),
             (b"aaaa", b"bbb"),
         ] {
-            let sw = sw_mesh(a, b, &sc);
-            let gotoh = gotoh_mesh(a, b, &sc);
-            assert_eq!(gotoh.score, sw.score);
-            assert_eq!(gotoh.end, sw.end);
+            let linear = sw(a, b, None, &sc);
+            let affine = gotoh(a, b, &sc);
+            assert_eq!(affine.score, linear.score);
+            assert_eq!(affine.end, linear.end);
         }
     }
 
@@ -1234,7 +1068,7 @@ mod tests {
         // and buys 8 matches (16): score 9 beats the best gapless run
         // of 4 matches (8).
         let sc = Scoring::affine(2, -3, 5, 1);
-        let run = gotoh_mesh(b"ccccxxxdddd", b"ccccdddd", &sc);
+        let run = gotoh(b"ccccxxxdddd", b"ccccdddd", &sc);
         assert_eq!(run.score, 16 - 7);
     }
 
@@ -1242,7 +1076,7 @@ mod tests {
     fn fault_injection_corrupts_score_not_schedule() {
         use sdp_fault::{Fault, FaultPlan, PlanInjector};
         use sdp_trace::CountingSink;
-        let clean = sw_mesh(b"acacacta", b"agcacaca", &scheme());
+        let clean = sw(b"acacacta", b"agcacaca", None, &scheme());
         let plan = FaultPlan::new().with(Fault::StuckAt {
             pe: 0,
             cycle: 0,
@@ -1250,8 +1084,15 @@ mod tests {
         });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty =
-            sw_fault_traced(b"acacacta", b"agcacaca", &scheme(), &mut inj, &mut sink).unwrap();
+        let faulty = sw_mesh(
+            b"acacacta",
+            b"agcacaca",
+            None,
+            &scheme(),
+            &mut inj,
+            &mut sink,
+        )
+        .unwrap();
         assert_ne!(faulty.score, clean.score);
         assert_eq!(faulty.cycles, clean.cycles);
         assert!(sink.faults_injected > 0);
@@ -1272,28 +1113,36 @@ mod tests {
             .map(|(a, b)| (a.as_slice(), b.as_slice()))
             .collect();
         let sc = scheme();
-        let batch = sw_mesh_batch(&refs, &sc).unwrap();
-        let gbatch = gotoh_mesh_batch(&refs, &sc).unwrap();
+        let batch = sw_mesh_batch(&refs, None, &sc, &mut NullSink).unwrap();
+        let gbatch = gotoh_mesh_batch(&refs, &sc, &mut NullSink).unwrap();
         for (t, (a, b)) in pairs.iter().enumerate() {
-            let single = sw_mesh(a, b, &sc);
+            let single = sw(a, b, None, &sc);
             assert_eq!(batch.scores[t], single.score, "t={t}");
             assert_eq!(batch.ends[t], single.end, "t={t}");
-            let gsingle = gotoh_mesh(a, b, &sc);
+            let gsingle = gotoh(a, b, &sc);
             assert_eq!(gbatch.scores[t], gsingle.score, "t={t}");
         }
         assert_eq!(batch.cycles, (5 + 7 - 2 + 6) as u64);
-        assert!(batch.measured_pu() > sw_mesh_batch(&refs[..1], &sc).unwrap().measured_pu());
+        assert!(
+            batch.measured_pu()
+                > sw_mesh_batch(&refs[..1], None, &sc, &mut NullSink)
+                    .unwrap()
+                    .measured_pu()
+        );
     }
 
     #[test]
     fn batch_shape_errors() {
         let sc = scheme();
-        assert!(matches!(sw_mesh_batch(&[], &sc), Err(SdpError::EmptyBatch)));
         assert!(matches!(
-            sw_mesh_batch(&[(b"abc", b"xy"), (b"ab", b"xy")], &sc),
+            sw_mesh_batch(&[], None, &sc, &mut NullSink),
+            Err(SdpError::EmptyBatch)
+        ));
+        assert!(matches!(
+            sw_mesh_batch(&[(b"abc", b"xy"), (b"ab", b"xy")], None, &sc, &mut NullSink),
             Err(SdpError::BatchShapeMismatch { index: 1 })
         ));
-        let run = sw_mesh_batch(&[(b"", b"abc"), (b"", b"xyz")], &sc).unwrap();
+        let run = sw_mesh_batch(&[(b"", b"abc"), (b"", b"xyz")], None, &sc, &mut NullSink).unwrap();
         assert_eq!(run.scores, vec![0, 0]);
         assert_eq!(run.stats.num_pes(), 0);
     }
@@ -1301,10 +1150,10 @@ mod tests {
     #[test]
     fn matrix_scoring_validates_symbols() {
         let sc = Scoring::matrix(2, vec![3, -1, -1, 3], 1, 1, 1);
-        let run = sw_mesh(&[0, 1, 0], &[0, 1, 0], &sc);
+        let run = sw(&[0, 1, 0], &[0, 1, 0], None, &sc);
         assert_eq!(run.score, 9);
         assert!(matches!(
-            try_sw_mesh(&[0, 2, 0], &[0, 1], &sc),
+            sw_mesh(&[0, 2, 0], &[0, 1], None, &sc, &mut NoFaults, &mut NullSink),
             Err(SdpError::SymbolOutOfRange {
                 index: 1,
                 symbol: 2,
@@ -1316,7 +1165,7 @@ mod tests {
     #[test]
     fn traceback_recovers_a_consistent_path() {
         let sc = scheme();
-        let (run, alignment) = sw_mesh_aligned(b"cacacta", b"agcacaca", &sc);
+        let (run, alignment) = sw_mesh_aligned(b"cacacta", b"agcacaca", None, &sc).unwrap();
         let alignment = alignment.expect("positive score");
         assert_eq!(alignment.score, run.score);
         assert_eq!(run.end, Some(alignment.end));
@@ -1347,14 +1196,16 @@ mod tests {
 
     #[test]
     fn traceback_on_score_zero_is_none() {
-        let (run, alignment) = sw_mesh_aligned(b"aaa", b"bbb", &Scoring::simple(1, -2, 2));
+        let (run, alignment) =
+            sw_mesh_aligned(b"aaa", b"bbb", None, &Scoring::simple(1, -2, 2)).unwrap();
         assert_eq!(run.score, 0);
         assert!(alignment.is_none());
     }
 
     #[test]
     fn banded_traceback_stays_in_band() {
-        let (run, alignment) = sw_banded_mesh_aligned(b"acgtacgt", b"acgtacgt", 1, &scheme());
+        let (run, alignment) =
+            sw_mesh_aligned(b"acgtacgt", b"acgtacgt", Some(1), &scheme()).unwrap();
         let alignment = alignment.expect("positive score");
         assert_eq!(alignment.score, run.score);
         let (mut i, mut j) = alignment.start;
@@ -1376,9 +1227,17 @@ mod tests {
         use sdp_trace::RecordingSink;
         let sc = scheme();
         let mut single_sink = RecordingSink::default();
-        let single = sw_mesh_traced(b"kitten", b"sitting", &sc, &mut single_sink);
+        let single = sw_mesh(
+            b"kitten",
+            b"sitting",
+            None,
+            &sc,
+            &mut NoFaults,
+            &mut single_sink,
+        )
+        .unwrap();
         let mut batch_sink = RecordingSink::default();
-        let batch = sw_mesh_batch_traced(&[(b"kitten", b"sitting")], &sc, &mut batch_sink).unwrap();
+        let batch = sw_mesh_batch(&[(b"kitten", b"sitting")], None, &sc, &mut batch_sink).unwrap();
         assert_eq!(batch.scores, vec![single.score]);
         assert_eq!(batch.cycles, single.cycles);
         assert_eq!(batch_sink.events, single_sink.events);

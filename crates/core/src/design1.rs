@@ -213,7 +213,7 @@ enum Extract {
 }
 
 /// The result of one Design 1 run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Design1Result {
     /// The final values: scalar optimum (single-source/sink strings) or
     /// the stage-1 cost vector (uniform strings).
@@ -245,7 +245,7 @@ impl Design1Result {
 
 /// The result of a batched Design 1 run: `B` independent matrix strings
 /// pipelined back-to-back through one array.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Design1BatchResult {
     /// `values[t]` = instance `t`'s final values (scalar optimum or
     /// stage-1 cost vector, exactly as [`Design1Result::values`]).
@@ -297,46 +297,18 @@ impl Design1Array {
 
     /// Runs the array on a matrix string shaped
     /// `[1×m]? , [m×m]* , [m×1]?` (at least one matrix), exactly the
-    /// shapes produced by [`sdp_multistage::MultistageGraph`].
+    /// shapes produced by [`sdp_multistage::MultistageGraph`]; a
+    /// malformed string is a typed error.
     ///
     /// Returns the computed values together with timing statistics.
-    pub fn run(&self, mats: &[Matrix<MinPlus>]) -> Design1Result {
-        self.run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run`](Self::run) with an event sink observing every clock
-    /// cycle, PE firing, latch commit, and host I/O word.  Tracing never
-    /// changes results or timing — only observes them.
-    pub fn run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Design1Result {
-        self.try_run_traced(mats, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](Self::run) that reports malformed strings as a typed
-    /// error instead of panicking.
-    pub fn try_run(&self, mats: &[Matrix<MinPlus>]) -> Result<Design1Result, SdpError> {
-        self.try_run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run_traced`](Self::run_traced) with typed errors.
-    pub fn try_run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Result<Design1Result, SdpError> {
-        self.run_core(mats, &mut NoFaults, sink, None)
-    }
-
-    /// [`try_run_traced`](Self::try_run_traced) with a [`FaultInjector`]
-    /// corrupting PE output words as they cross the inter-PE latches.
-    /// Faults perturb *values* only (the pipeline never wedges), so the
-    /// run completes and returns a possibly wrong [`Design1Result`] —
-    /// detection and recovery live in [`crate::resilient`].
-    pub fn run_fault_traced<S: TraceSink, F: FaultInjector>(
+    /// `sink` observes every clock cycle, PE firing, latch commit, and
+    /// host I/O word; `injector` corrupts PE output words as they cross
+    /// the inter-PE latches.  Faults perturb *values* only (the pipeline
+    /// never wedges), so the run completes and returns a possibly wrong
+    /// [`Design1Result`] — detection and recovery live in
+    /// [`crate::resilient`].  Tracing never changes results or timing,
+    /// only observes them.
+    pub fn run<F: FaultInjector, S: TraceSink>(
         &self,
         mats: &[Matrix<MinPlus>],
         injector: &mut F,
@@ -351,13 +323,15 @@ impl Design1Array {
     /// toward the spare — the 1985 VLSI repair strategy for a stuck PE
     /// found by test.  The injector still targets *physical* columns, so
     /// a plan faulting `failed_pe` is routed around and cannot corrupt
-    /// the run.
+    /// the run.  `failed_pe` ranges over the `m + 1` physical columns
+    /// (`failed_pe = m` fuses out the spare itself); anything larger is
+    /// [`SdpError::ParameterTooLarge`].
     ///
     /// Emits a `PeRemapped { failed, spare }` event and returns the
     /// result alongside [`RecoveryStats`] whose `extra_cycles` is the
     /// measured makespan cost of the longer pipeline (baseline/actual
     /// rounds hold the fault-free and remapped cycle counts).
-    pub fn run_with_spare_traced<S: TraceSink, F: FaultInjector>(
+    pub fn run_with_spare<F: FaultInjector, S: TraceSink>(
         &self,
         mats: &[Matrix<MinPlus>],
         failed_pe: usize,
@@ -365,10 +339,10 @@ impl Design1Array {
         sink: &mut S,
     ) -> Result<(Design1Result, RecoveryStats), SdpError> {
         if failed_pe > self.m {
-            return Err(SdpError::BadParameter {
+            return Err(SdpError::ParameterTooLarge {
                 name: "failed_pe",
                 got: failed_pe as u64,
-                min: 0,
+                max: self.m as u64,
             });
         }
         let baseline = self.run_core(mats, &mut NoFaults, &mut NullSink, None)?;
@@ -396,17 +370,9 @@ impl Design1Array {
     /// results end in the stationary registers are drained by an identity
     /// *flush* pass before the next instance begins.  An empty batch or an
     /// instance whose shape sequence differs from instance 0's is a typed
-    /// error.
-    pub fn run_batch(
-        &self,
-        instances: &[&[Matrix<MinPlus>]],
-    ) -> Result<Design1BatchResult, SdpError> {
-        self.run_batch_traced(instances, &mut NullSink)
-    }
-
-    /// [`run_batch`](Self::run_batch) with an event sink.  A batch of one
-    /// emits exactly the event stream of [`run_traced`](Self::run_traced).
-    pub fn run_batch_traced<S: TraceSink>(
+    /// error.  A batch of one emits exactly the event stream of
+    /// [`run`](Self::run).
+    pub fn run_batch<S: TraceSink>(
         &self,
         instances: &[&[Matrix<MinPlus>]],
         sink: &mut S,
@@ -667,7 +633,7 @@ impl Design1Array {
             } else {
                 None
             };
-            if let Some(out) = array.cycle_fault_traced(head, |_| (), |_| (), injector, sink) {
+            if let Some(out) = array.cycle_fault(head, |_| (), |_| (), injector, sink) {
                 tail_out[drained] = Some(out);
                 drained += 1;
             }
@@ -711,11 +677,15 @@ mod tests {
         Matrix::string_product(mats)
     }
 
+    fn run(arr: &Design1Array, mats: &[Matrix<MinPlus>]) -> Design1Result {
+        arr.run(mats, &mut NoFaults, &mut NullSink).unwrap()
+    }
+
     #[test]
     fn fig_1a_example() {
         let g = MultistageGraph::fig_1a();
         let arr = Design1Array::new(3);
-        let res = arr.run(g.matrix_string());
+        let res = run(&arr, g.matrix_string());
         let want = reference(g.matrix_string());
         assert_eq!(res.values, vec![want.get(0, 0).0]);
         assert_eq!(res.optimum(), Cost::from(9));
@@ -727,7 +697,7 @@ mod tests {
     fn uniform_multi_sink_string() {
         let g = MultistageGraph::fig_1b();
         let arr = Design1Array::new(3);
-        let res = arr.run(g.matrix_string());
+        let res = run(&arr, g.matrix_string());
         let want = reference(g.matrix_string());
         // result vector = stage-1 costs to best sink: row minima
         for (i, &v) in res.values.iter().enumerate() {
@@ -743,7 +713,7 @@ mod tests {
             let m = 1 + (seed as usize % 5);
             let g = generate::random_single_source_sink(seed, stages.max(3), m, 0, 30);
             let arr = Design1Array::new(m);
-            let res = arr.run(g.matrix_string());
+            let res = run(&arr, g.matrix_string());
             let dp = solve::forward_dp(&g);
             assert_eq!(res.optimum(), dp.cost, "seed {seed} stages {stages} m {m}");
         }
@@ -756,7 +726,7 @@ mod tests {
             let m = 1 + (seed as usize % 4);
             let g = generate::random_uniform(seed, stages, m, 0, 25);
             let arr = Design1Array::new(m);
-            let res = arr.run(g.matrix_string());
+            let res = run(&arr, g.matrix_string());
             let want = reference(g.matrix_string());
             for (i, &v) in res.values.iter().enumerate() {
                 let row_min = (0..m).map(|j| want.get(i, j).0).fold(Cost::INF, Cost::min);
@@ -771,7 +741,7 @@ mod tests {
         let row = Matrix::from_rows(1, 3, [1, 5, 2].into_iter().map(MinPlus::from).collect());
         let col = Matrix::from_rows(3, 1, [4, 0, 9].into_iter().map(MinPlus::from).collect());
         let arr = Design1Array::new(3);
-        let res = arr.run(&[row, col]);
+        let res = run(&arr, &[row, col]);
         assert_eq!(res.optimum(), Cost::from(5)); // min(1+4, 5+0, 2+9)
     }
 
@@ -779,7 +749,7 @@ mod tests {
     fn m_equals_one_degenerates_gracefully() {
         let g = generate::random_uniform(3, 5, 1, 0, 9);
         let arr = Design1Array::new(1);
-        let res = arr.run(g.matrix_string());
+        let res = run(&arr, g.matrix_string());
         assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 
@@ -789,7 +759,7 @@ mod tests {
         // pipeline fill latency (< m + phases).
         for (stages, m) in [(6usize, 4usize), (10, 3), (4, 8)] {
             let g = generate::random_single_source_sink(1, stages, m, 0, 9);
-            let res = Design1Array::new(m).run(g.matrix_string());
+            let res = run(&Design1Array::new(m), g.matrix_string());
             let n_mats = (stages - 1) as u64;
             assert!(res.cycles >= res.paper_iterations - (m as u64));
             assert!(
@@ -805,7 +775,7 @@ mod tests {
     fn pu_approaches_one_for_long_strings() {
         let m = 4usize;
         let g = generate::random_single_source_sink(2, 40, m, 0, 9);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = run(&Design1Array::new(m), g.matrix_string());
         let n_mats = (g.num_stages() - 1) as u64;
         let serial = solve::SerialCounts::matrix_string(n_mats, m as u64);
         let pu = res.paper_pu(serial, m as u64);
@@ -818,16 +788,8 @@ mod tests {
     fn busy_fraction_is_high_in_steady_state() {
         let m = 3usize;
         let g = generate::random_single_source_sink(7, 30, m, 0, 9);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = run(&Design1Array::new(m), g.matrix_string());
         assert!(res.stats.utilization().overall > 0.8);
-    }
-
-    #[test]
-    #[should_panic(expected = "m x m")]
-    fn wrong_interior_shape_rejected() {
-        let arr = Design1Array::new(3);
-        let bad = Matrix::<MinPlus>::zeros(2, 2);
-        arr.run(&[bad]);
     }
 
     #[test]
@@ -835,7 +797,7 @@ mod tests {
         // A lone m×1 column (2-stage multi-source/single-sink graph) is a
         // valid shape: the answer is the column itself.
         let col = Matrix::from_rows(3, 1, [5, 2, 7].into_iter().map(MinPlus::from).collect());
-        let res = Design1Array::new(3).run(&[col]);
+        let res = run(&Design1Array::new(3), &[col]);
         assert_eq!(
             res.values,
             vec![Cost::from(5), Cost::from(2), Cost::from(7)]
@@ -843,26 +805,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "too short")]
-    fn single_1x1_matrix_with_wide_array_rejected_clearly() {
-        // A 1×1 matrix read as both row and column for m = 3 is a shape
-        // error and must fail with a message, not a slice-range panic.
-        let one = Matrix::from_rows(1, 1, vec![MinPlus::from(4)]);
-        let _ = Design1Array::new(3).run(&[one]);
-    }
-
-    #[test]
-    fn try_run_reports_shape_errors() {
+    fn run_reports_shape_errors() {
         let arr = Design1Array::new(3);
-        assert!(matches!(arr.try_run(&[]), Err(SdpError::EmptyMatrixString)));
+        let run = |mats: &[Matrix<MinPlus>]| arr.run(mats, &mut NoFaults, &mut NullSink);
+        assert!(matches!(run(&[]), Err(SdpError::EmptyMatrixString)));
         let bad = Matrix::<MinPlus>::zeros(2, 2);
         assert!(matches!(
-            arr.try_run(&[bad]),
+            run(&[bad]),
             Err(SdpError::NotSquare { index: 0, m: 3 })
         ));
         let one = Matrix::from_rows(1, 1, vec![MinPlus::from(4)]);
         assert!(matches!(
-            arr.try_run(&[one]),
+            run(&[one]),
             Err(SdpError::StringTooShort { got: 1, need: 2 })
         ));
         assert!(matches!(
@@ -872,17 +826,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_injector_reproduces_plain_run() {
-        use sdp_fault::NoFaults;
+    fn counting_sink_observes_without_perturbing() {
+        use sdp_trace::CountingSink;
         let g = generate::random_single_source_sink(5, 6, 4, 0, 30);
         let arr = Design1Array::new(4);
-        let plain = arr.run(g.matrix_string());
-        let faulted = arr
-            .run_fault_traced(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        let plain = run(&arr, g.matrix_string());
+        let mut sink = CountingSink::default();
+        let traced = arr
+            .run(g.matrix_string(), &mut NoFaults, &mut sink)
             .unwrap();
-        assert_eq!(plain.values, faulted.values);
-        assert_eq!(plain.cycles, faulted.cycles);
-        assert_eq!(plain.stats, faulted.stats);
+        assert_eq!(plain.values, traced.values);
+        assert_eq!(plain.cycles, traced.cycles);
+        assert_eq!(plain.stats, traced.stats);
+        assert_eq!(sink.cycles, traced.cycles);
     }
 
     #[test]
@@ -891,7 +847,7 @@ mod tests {
         use sdp_trace::CountingSink;
         let g = generate::random_single_source_sink(11, 6, 4, 5, 30);
         let arr = Design1Array::new(4);
-        let clean = arr.run(g.matrix_string());
+        let clean = run(&arr, g.matrix_string());
         let plan = FaultPlan::new().with(Fault::StuckAt {
             pe: 2,
             cycle: 0,
@@ -899,16 +855,14 @@ mod tests {
         });
         // The stuck column silently corrupts the DP value...
         let mut inj = PlanInjector::new(plan.clone());
-        let faulty = arr
-            .run_fault_traced(g.matrix_string(), &mut inj, &mut NullSink)
-            .unwrap();
+        let faulty = arr.run(g.matrix_string(), &mut inj, &mut NullSink).unwrap();
         assert_ne!(faulty.optimum(), clean.optimum());
         // ...spare-column remapping restores the exact answer, at a
         // measured makespan cost.
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
         let (fixed, rstats) = arr
-            .run_with_spare_traced(g.matrix_string(), 2, &mut inj, &mut sink)
+            .run_with_spare(g.matrix_string(), 2, &mut inj, &mut sink)
             .unwrap();
         assert_eq!(fixed.optimum(), clean.optimum());
         assert_eq!(fixed.values, clean.values);
@@ -919,6 +873,39 @@ mod tests {
         assert_eq!(rstats.extra_cycles, fixed.cycles - clean.cycles);
         assert_eq!(sink.pes_remapped, 1);
         assert_eq!(sink.faults_injected, 0, "bypass shields the stuck column");
+    }
+
+    #[test]
+    fn spare_column_beyond_the_array_is_too_large() {
+        let g = generate::random_single_source_sink(11, 6, 4, 5, 30);
+        let arr = Design1Array::new(4);
+        let err = arr
+            .run_with_spare(g.matrix_string(), 5, &mut NoFaults, &mut NullSink)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SdpError::ParameterTooLarge {
+                name: "failed_pe",
+                got: 5,
+                max: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "parameter failed_pe must be at most 4 (got 5)"
+        );
+    }
+
+    #[test]
+    fn fusing_out_the_spare_itself_keeps_clean_values() {
+        let g = generate::random_single_source_sink(11, 6, 4, 5, 30);
+        let arr = Design1Array::new(4);
+        let clean = run(&arr, g.matrix_string());
+        let (res, rstats) = arr
+            .run_with_spare(g.matrix_string(), 4, &mut NoFaults, &mut NullSink)
+            .unwrap();
+        assert_eq!(res.values, clean.values);
+        assert_eq!(rstats.extra_cycles, 2);
     }
 
     #[test]
@@ -993,10 +980,10 @@ mod tests {
         for (case, (m, no_slower, strings)) in cases.into_iter().enumerate() {
             let arr = Design1Array::new(m);
             let refs: Vec<&[Matrix<MinPlus>]> = strings.iter().map(|s| s.as_slice()).collect();
-            let batch = arr.run_batch(&refs).unwrap();
+            let batch = arr.run_batch(&refs, &mut NullSink).unwrap();
             let mut sequential_cycles = 0u64;
             for (t, s) in strings.iter().enumerate() {
-                let single = arr.run(s);
+                let single = run(&arr, s);
                 assert_eq!(batch.values[t], single.values, "case {case} instance {t}");
                 sequential_cycles += single.cycles;
             }
@@ -1017,10 +1004,12 @@ mod tests {
         let g = generate::random_single_source_sink(21, 6, 4, 0, 30);
         let arr = Design1Array::new(4);
         let mut single_sink = RecordingSink::default();
-        let single = arr.run_traced(g.matrix_string(), &mut single_sink);
+        let single = arr
+            .run(g.matrix_string(), &mut NoFaults, &mut single_sink)
+            .unwrap();
         let mut batch_sink = RecordingSink::default();
         let batch = arr
-            .run_batch_traced(&[g.matrix_string()], &mut batch_sink)
+            .run_batch(&[g.matrix_string()], &mut batch_sink)
             .unwrap();
         assert_eq!(batch.values, vec![single.values.clone()]);
         assert_eq!(batch.cycles, single.cycles);
@@ -1043,9 +1032,9 @@ mod tests {
         let arr = Design1Array::new(m);
         let n_mats = (stages - 1) as u64;
         let serial = solve::SerialCounts::matrix_string(n_mats, m as u64);
-        let single = arr.run(&strings[0]);
+        let single = run(&arr, &strings[0]);
         let single_pu = single.measured_pu(serial);
-        let batch = arr.run_batch(&refs).unwrap();
+        let batch = arr.run_batch(&refs, &mut NullSink).unwrap();
         let batch_pu = batch.measured_pu(serial * b as u64);
         assert!(
             batch_pu > single_pu,
@@ -1063,16 +1052,19 @@ mod tests {
     #[test]
     fn batch_shape_errors_are_typed() {
         let arr = Design1Array::new(3);
-        assert!(matches!(arr.run_batch(&[]), Err(SdpError::EmptyBatch)));
+        assert!(matches!(
+            arr.run_batch(&[], &mut NullSink),
+            Err(SdpError::EmptyBatch)
+        ));
         let a = generate::random_single_source_sink(1, 6, 3, 0, 9);
         let b = generate::random_single_source_sink(2, 7, 3, 0, 9);
         assert!(matches!(
-            arr.run_batch(&[a.matrix_string(), b.matrix_string()]),
+            arr.run_batch(&[a.matrix_string(), b.matrix_string()], &mut NullSink),
             Err(SdpError::BatchShapeMismatch { index: 1 })
         ));
         let u = generate::random_uniform(3, 4, 3, 0, 9);
         assert!(matches!(
-            arr.run_batch(&[a.matrix_string(), u.matrix_string()]),
+            arr.run_batch(&[a.matrix_string(), u.matrix_string()], &mut NullSink),
             Err(SdpError::BatchShapeMismatch { index: 1 })
         ));
     }

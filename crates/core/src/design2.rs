@@ -16,10 +16,10 @@
 use sdp_fault::{FaultInjector, FaultyWord, NoFaults, SdpError};
 use sdp_semiring::{Cost, Matrix, MinPlus, Semiring};
 use sdp_systolic::Stats;
-use sdp_trace::{Event, NullSink, TraceSink};
+use sdp_trace::{Event, TraceSink};
 
 /// The result of one Design 2 run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Design2Result {
     /// Final values (scalar for single-source/sink strings, else the
     /// stage-1 vector).
@@ -52,7 +52,7 @@ impl Design2Result {
 
 /// The result of a batched Design 2 run: `B` same-shaped strings
 /// processed back-to-back on one array.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Design2BatchResult {
     /// Per-instance final values, in batch order.
     pub values: Vec<Vec<Cost>>,
@@ -115,43 +115,15 @@ impl Design2Array {
     }
 
     /// Runs the array on a matrix string shaped `[1×m]? [m×m]* [m×1]?`
-    /// (same contract as Design 1).
-    pub fn run(&self, mats: &[Matrix<MinPlus>]) -> Design2Result {
-        self.run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run`](Self::run) with an event sink.  Every broadcast word is
-    /// one cycle: a `CycleStart`, a `WordIn` (the word on the bus), one
-    /// `PeFire` per PE, and a `BusDrive` marking the broadcast itself.
-    pub fn run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Design2Result {
-        self.try_run_traced(mats, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](Self::run) that reports malformed strings as a typed
-    /// error instead of panicking.
-    pub fn try_run(&self, mats: &[Matrix<MinPlus>]) -> Result<Design2Result, SdpError> {
-        self.try_run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run_traced`](Self::run_traced) with typed errors.
-    pub fn try_run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Result<Design2Result, SdpError> {
-        self.run_fault_traced(mats, &mut NoFaults, sink)
-    }
-
-    /// [`try_run_traced`](Self::try_run_traced) with a [`FaultInjector`]
-    /// corrupting the candidate words PEs read off the broadcast bus
-    /// (value faults only — control flow never wedges).  With
-    /// [`NoFaults`] this is exactly the fault-free run.
-    pub fn run_fault_traced<S: TraceSink, F: FaultInjector>(
+    /// (same contract as Design 1); a malformed string is a typed error.
+    ///
+    /// Every broadcast word is one cycle in `sink`: a `CycleStart`, a
+    /// `WordIn` (the word on the bus), one `PeFire` per PE, and a
+    /// `BusDrive` marking the broadcast itself.  `injector` corrupts the
+    /// candidate words PEs read off the broadcast bus (value faults
+    /// only — control flow never wedges); with [`NoFaults`] this is
+    /// exactly the fault-free run.
+    pub fn run<F: FaultInjector, S: TraceSink>(
         &self,
         mats: &[Matrix<MinPlus>],
         injector: &mut F,
@@ -191,17 +163,9 @@ impl Design2Array {
     /// broadcast design has no pipeline fill or drain, so the batch is an
     /// exact concatenation: `B×` the single-run cycles on one shared PE
     /// array and statistics stream (Designs 1/3 and the meshes, which do
-    /// pay fill/drain, amortize it under batching).
-    pub fn run_batch(
-        &self,
-        instances: &[&[Matrix<MinPlus>]],
-    ) -> Result<Design2BatchResult, SdpError> {
-        self.run_batch_traced(instances, &mut NullSink)
-    }
-
-    /// [`run_batch`](Self::run_batch) with an event sink: the instances'
-    /// event streams appear back-to-back on one cycle axis.
-    pub fn run_batch_traced<S: TraceSink>(
+    /// pay fill/drain, amortize it under batching).  The instances' event
+    /// streams appear back-to-back on one cycle axis in `sink`.
+    pub fn run_batch<S: TraceSink>(
         &self,
         instances: &[&[Matrix<MinPlus>]],
         sink: &mut S,
@@ -460,11 +424,14 @@ impl Design2Array {
 mod tests {
     use super::*;
     use sdp_multistage::{generate, solve, MultistageGraph};
+    use sdp_trace::NullSink;
 
     #[test]
     fn fig_1a_example() {
         let g = MultistageGraph::fig_1a();
-        let res = Design2Array::new(3).run(g.matrix_string());
+        let res = Design2Array::new(3)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.optimum(), Cost::from(9));
     }
 
@@ -475,8 +442,12 @@ mod tests {
             let stages = 3 + (seed as usize % 6);
             let m = 1 + (seed as usize % 5);
             let g = generate::random_single_source_sink(seed, stages, m, 0, 30);
-            let d1 = Design1Array::new(m).run(g.matrix_string());
-            let d2 = Design2Array::new(m).run(g.matrix_string());
+            let d1 = Design1Array::new(m)
+                .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
+            let d2 = Design2Array::new(m)
+                .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let dp = solve::forward_dp(&g);
             assert_eq!(d2.optimum(), dp.cost, "seed {seed}");
             assert_eq!(d1.optimum(), d2.optimum(), "seed {seed}");
@@ -486,7 +457,9 @@ mod tests {
     #[test]
     fn uniform_string_vector_result() {
         let g = MultistageGraph::fig_1b();
-        let res = Design2Array::new(3).run(g.matrix_string());
+        let res = Design2Array::new(3)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let want = sdp_semiring::Matrix::string_product(g.matrix_string());
         for (i, &v) in res.values.iter().enumerate() {
             let row_min = (0..3).map(|j| want.get(i, j).0).fold(Cost::INF, Cost::min);
@@ -499,7 +472,9 @@ mod tests {
         // Broadcast phases: one cycle per broadcast word; interior phases
         // plus the optional row phase each take m cycles.
         let g = generate::random_single_source_sink(4, 8, 5, 0, 9);
-        let res = Design2Array::new(5).run(g.matrix_string());
+        let res = Design2Array::new(5)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         // stages=8 -> 7 matrices: row + 5 interior + col.
         // cycles = (5 interior + 1 row) * m = 30
         assert_eq!(res.cycles, 30);
@@ -509,7 +484,9 @@ mod tests {
     #[test]
     fn broadcast_word_count_equals_cycles() {
         let g = generate::random_uniform(9, 6, 4, 0, 9);
-        let res = Design2Array::new(4).run(g.matrix_string());
+        let res = Design2Array::new(4)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.broadcast_words, res.cycles);
     }
 
@@ -517,14 +494,18 @@ mod tests {
     fn full_pe_utilization_in_interior_phases() {
         // With no row phase every PE is busy every cycle.
         let g = generate::random_uniform(2, 7, 3, 0, 9);
-        let res = Design2Array::new(3).run(g.matrix_string());
+        let res = Design2Array::new(3)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert!((res.stats.utilization().overall - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn m_equals_one() {
         let g = generate::random_uniform(5, 4, 1, 1, 5);
-        let res = Design2Array::new(1).run(g.matrix_string());
+        let res = Design2Array::new(1)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 
@@ -534,7 +515,9 @@ mod tests {
             let stages = 3 + (seed as usize % 6);
             let m = 1 + (seed as usize % 5);
             let g = generate::random_single_source_sink(seed, stages, m, 0, 30);
-            let res = Design2Array::new(m).run(g.matrix_string());
+            let res = Design2Array::new(m)
+                .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let path = res.path.clone().expect("finite optimum has a path");
             assert_eq!(path.len(), g.num_stages(), "seed {seed}");
             assert_eq!(solve::path_cost(&g, &path), res.optimum(), "seed {seed}");
@@ -545,19 +528,22 @@ mod tests {
     fn recovered_path_on_uniform_strings() {
         for seed in 0..8 {
             let g = generate::random_uniform(seed, 6, 4, 0, 20);
-            let res = Design2Array::new(4).run(g.matrix_string());
+            let res = Design2Array::new(4)
+                .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let path = res.path.clone().expect("path");
             assert_eq!(solve::path_cost(&g, &path), res.optimum(), "seed {seed}");
         }
     }
 
     #[test]
-    fn try_run_reports_shape_errors() {
+    fn run_reports_shape_errors() {
         let arr = Design2Array::new(3);
-        assert!(matches!(arr.try_run(&[]), Err(SdpError::EmptyMatrixString)));
+        let run = |mats: &[Matrix<MinPlus>]| arr.run(mats, &mut NoFaults, &mut NullSink);
+        assert!(matches!(run(&[]), Err(SdpError::EmptyMatrixString)));
         let bad = Matrix::<MinPlus>::zeros(2, 2);
         assert!(matches!(
-            arr.try_run(&[bad]),
+            run(&[bad]),
             Err(SdpError::NotSquare { index: 0, m: 3 })
         ));
         assert!(matches!(
@@ -567,17 +553,14 @@ mod tests {
     }
 
     #[test]
-    fn injected_fault_perturbs_and_no_faults_is_identity() {
-        use sdp_fault::{Fault, FaultPlan, NoFaults, PlanInjector};
+    fn injected_fault_perturbs_values_not_cycles() {
+        use sdp_fault::{Fault, FaultPlan, PlanInjector};
         use sdp_trace::CountingSink;
         let g = generate::random_single_source_sink(6, 6, 4, 5, 30);
         let arr = Design2Array::new(4);
-        let clean = arr.run(g.matrix_string());
-        let same = arr
-            .run_fault_traced(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        let clean = arr
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
             .unwrap();
-        assert_eq!(clean.values, same.values);
-        assert_eq!(clean.cycles, same.cycles);
         let plan = FaultPlan::new().with(Fault::StuckAt {
             pe: 1,
             cycle: 0,
@@ -585,9 +568,7 @@ mod tests {
         });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty = arr
-            .run_fault_traced(g.matrix_string(), &mut inj, &mut sink)
-            .unwrap();
+        let faulty = arr.run(g.matrix_string(), &mut inj, &mut sink).unwrap();
         assert_ne!(faulty.optimum(), clean.optimum());
         assert!(sink.faults_injected > 0);
         assert_eq!(faulty.cycles, clean.cycles, "value faults never stall");
@@ -600,10 +581,10 @@ mod tests {
             .collect();
         let strings: Vec<&[Matrix<MinPlus>]> = graphs.iter().map(|g| g.matrix_string()).collect();
         let arr = Design2Array::new(4);
-        let batch = arr.run_batch(&strings).unwrap();
+        let batch = arr.run_batch(&strings, &mut NullSink).unwrap();
         let mut seq_cycles = 0;
         for (t, s) in strings.iter().enumerate() {
-            let single = arr.run(s);
+            let single = arr.run(s, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(batch.values[t], single.values, "t={t}");
             assert_eq!(batch.paths[t], single.path, "t={t}");
             seq_cycles += single.cycles;
@@ -621,14 +602,14 @@ mod tests {
         let strings: Vec<&[Matrix<MinPlus>]> = graphs.iter().map(|g| g.matrix_string()).collect();
         let arr = Design2Array::new(3);
         let mut batch_sink = RecordingSink::default();
-        let _ = arr.run_batch_traced(&strings, &mut batch_sink).unwrap();
+        let _ = arr.run_batch(&strings, &mut batch_sink).unwrap();
         // Each instance's stream equals its solo stream, except cycle
         // numbers continue across the batch instead of restarting.
         let mut expect = Vec::new();
         let mut offset = 0u64;
         for s in &strings {
             let mut sink = RecordingSink::default();
-            let single = arr.run_traced(s, &mut sink);
+            let single = arr.run(s, &mut NoFaults, &mut sink).unwrap();
             expect.extend(sink.events.into_iter().map(|e| match e {
                 Event::CycleStart { cycle } => Event::CycleStart {
                     cycle: cycle + offset,
@@ -643,12 +624,15 @@ mod tests {
     #[test]
     fn batch_shape_errors_are_typed() {
         let arr = Design2Array::new(3);
-        assert!(matches!(arr.run_batch(&[]), Err(SdpError::EmptyBatch)));
+        assert!(matches!(
+            arr.run_batch(&[], &mut NullSink),
+            Err(SdpError::EmptyBatch)
+        ));
         let g1 = generate::random_uniform(1, 5, 3, 0, 9);
         let g2 = generate::random_uniform(2, 6, 3, 0, 9);
         let strings = [g1.matrix_string(), g2.matrix_string()];
         assert!(matches!(
-            arr.run_batch(&strings),
+            arr.run_batch(&strings, &mut NullSink),
             Err(SdpError::BatchShapeMismatch { index: 1 })
         ));
     }
@@ -657,7 +641,9 @@ mod tests {
     fn sparse_graph_path_valid_or_absent() {
         for seed in 0..10 {
             let g = generate::random_sparse(seed, 5, 3, 1, 9, 0.5);
-            let res = Design2Array::new(3).run(g.matrix_string());
+            let res = Design2Array::new(3)
+                .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             if let Some(path) = &res.path {
                 assert_eq!(solve::path_cost(&g, path), res.optimum(), "seed {seed}");
             } else {

@@ -21,7 +21,7 @@ use sdp_semiring::{Matrix, Semiring};
 use sdp_systolic::scheduler::{eq29_kt2, eq29_time, Schedule, TreeScheduler};
 use sdp_trace::chrome::ChromeTrace;
 use sdp_trace::json::Json;
-use sdp_trace::{Event, FaultKind, TraceSink};
+use sdp_trace::{Event, FaultKind, NullSink, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -68,17 +68,19 @@ pub fn try_granularity_sweep(n: u64, k_max: u64) -> Result<Vec<GranularityPoint>
             min: 1,
         });
     }
-    Ok((1..=k_max)
+    (1..=k_max)
         .map(|k| {
             let t = eq29_time(n, k);
-            GranularityPoint {
+            Ok(GranularityPoint {
                 k,
                 t,
                 kt2: eq29_kt2(n, k),
-                pu: TreeScheduler.simulate(n, k).processor_utilization(),
-            }
+                pu: TreeScheduler
+                    .simulate(n, k, &mut NullSink)?
+                    .processor_utilization(),
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// The `K` minimizing `K·T²` over `[1, k_max]` (ties: smallest `K`),
@@ -108,7 +110,9 @@ pub fn try_pu_asymptotic(n: u64, c: f64) -> Result<f64, SdpError> {
         });
     }
     let k = ((c * n as f64 / (n as f64).log2()).round() as u64).max(1);
-    Ok(TreeScheduler.simulate(n, k).processor_utilization())
+    Ok(TreeScheduler
+        .simulate(n, k, &mut NullSink)?
+        .processor_utilization())
 }
 
 /// `S·T²` with `T` from Eq. 29 — Theorem 1's figure of merit
@@ -125,7 +129,9 @@ pub fn at2_lower_bound(n: u64) -> f64 {
 
 /// Runs the greedy schedule and returns it (re-exported convenience).
 pub fn schedule(n: u64, k: u64) -> Schedule {
-    TreeScheduler.simulate(n, k)
+    TreeScheduler
+        .simulate(n, k, &mut NullSink)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A host-thread executor for the divide-and-conquer reduction: each
@@ -164,16 +170,10 @@ impl ParallelExecutor {
 
     /// Multiplies the string by rounds of pairwise products.  Returns the
     /// product and the number of rounds (the measured schedule length).
-    pub fn multiply_string<S: Semiring>(&self, mats: &[Matrix<S>]) -> (Matrix<S>, u64) {
-        self.try_multiply_string(mats)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`multiply_string`](Self::multiply_string) with typed errors: an
-    /// empty string or a worker task that panics becomes an `Err`
-    /// instead of a panic (the panic is contained per task, so the
-    /// scoped join always completes and the host survives).
-    pub fn try_multiply_string<S: Semiring>(
+    /// An empty string or a worker task that panics becomes an `Err`
+    /// (the panic is contained per task, so the scoped join always
+    /// completes and the host survives).
+    pub fn multiply_string<S: Semiring>(
         &self,
         mats: &[Matrix<S>],
     ) -> Result<(Matrix<S>, u64), SdpError> {
@@ -188,12 +188,10 @@ impl ParallelExecutor {
     pub fn multiply_string_chrome<S: Semiring>(
         &self,
         mats: &[Matrix<S>],
-    ) -> (Matrix<S>, u64, ChromeTrace) {
+    ) -> Result<(Matrix<S>, u64, ChromeTrace), SdpError> {
         let mut trace = ChromeTrace::new();
-        let (product, rounds) = self
-            .run(mats, Some(&mut trace))
-            .unwrap_or_else(|e| panic!("{e}"));
-        (product, rounds, trace)
+        let (product, rounds) = self.run(mats, Some(&mut trace))?;
+        Ok((product, rounds, trace))
     }
 
     fn run<S: Semiring>(
@@ -349,7 +347,7 @@ impl ParallelExecutor {
         }
         let mut stats = RecoveryStats {
             baseline_rounds: TreeScheduler
-                .simulate(mats.len() as u64, self.k as u64)
+                .simulate(mats.len() as u64, self.k as u64, &mut NullSink)?
                 .rounds,
             ..RecoveryStats::default()
         };
@@ -596,7 +594,7 @@ mod tests {
     fn parallel_executor_matches_sequential() {
         for (n, m, k) in [(8usize, 4usize, 3usize), (5, 3, 2), (16, 2, 8), (3, 5, 1)] {
             let mats = rand_mats((n + m + k) as u64, n, m);
-            let (par, rounds) = ParallelExecutor::new(k).multiply_string(&mats);
+            let (par, rounds) = ParallelExecutor::new(k).multiply_string(&mats).unwrap();
             let seq = Matrix::string_product(&mats);
             assert_eq!(par, seq, "n={n} m={m} k={k}");
             assert!(rounds >= 1);
@@ -607,8 +605,10 @@ mod tests {
     fn parallel_rounds_match_greedy_schedule() {
         for (n, k) in [(16u64, 4u64), (9, 2), (32, 32)] {
             let mats = rand_mats(n + k, n as usize, 2);
-            let (_, rounds) = ParallelExecutor::new(k as usize).multiply_string(&mats);
-            let sched = TreeScheduler.simulate(n, k);
+            let (_, rounds) = ParallelExecutor::new(k as usize)
+                .multiply_string(&mats)
+                .unwrap();
+            let sched = TreeScheduler.simulate(n, k, &mut NullSink).unwrap();
             assert_eq!(rounds, sched.rounds, "n={n} k={k}");
         }
     }
@@ -646,7 +646,9 @@ mod tests {
     #[test]
     fn chrome_instrumented_run_matches_and_has_spans() {
         let mats = rand_mats(42, 8, 4);
-        let (par, rounds, trace) = ParallelExecutor::new(3).multiply_string_chrome(&mats);
+        let (par, rounds, trace) = ParallelExecutor::new(3)
+            .multiply_string_chrome(&mats)
+            .unwrap();
         assert_eq!(par, Matrix::string_product(&mats));
         // One span per product: 8 → 5 → 3 → 2 → 1 under k=3 is 7 products.
         assert_eq!(trace.spans.len(), 7);
@@ -667,7 +669,7 @@ mod tests {
     #[test]
     fn single_matrix_needs_zero_rounds() {
         let mats = rand_mats(1, 1, 3);
-        let (prod, rounds) = ParallelExecutor::new(4).multiply_string(&mats);
+        let (prod, rounds) = ParallelExecutor::new(4).multiply_string(&mats).unwrap();
         assert_eq!(prod, mats[0]);
         assert_eq!(rounds, 0);
     }
@@ -676,7 +678,7 @@ mod tests {
     fn empty_string_is_a_typed_error() {
         let mats: Vec<Matrix<MinPlus>> = Vec::new();
         assert!(matches!(
-            ParallelExecutor::new(2).try_multiply_string(&mats),
+            ParallelExecutor::new(2).multiply_string(&mats),
             Err(SdpError::EmptyMatrixString)
         ));
         assert!(matches!(
@@ -694,7 +696,7 @@ mod tests {
             Matrix::from_fn(2, 2, |_, _| MinPlus::from(1)),
             Matrix::from_fn(3, 3, |_, _| MinPlus::from(1)),
         ];
-        let got = ParallelExecutor::new(2).try_multiply_string(&mats);
+        let got = ParallelExecutor::new(2).multiply_string(&mats);
         assert!(matches!(
             got,
             Err(SdpError::TaskPanicked {
@@ -731,10 +733,9 @@ mod tests {
     #[test]
     fn ft_with_no_faults_matches_plain_run() {
         use sdp_fault::NoFaults;
-        use sdp_trace::NullSink;
         let mats = rand_mats(9, 8, 3);
         let exec = ParallelExecutor::new(3);
-        let (plain, rounds) = exec.multiply_string(&mats);
+        let (plain, rounds) = exec.multiply_string(&mats).unwrap();
         let (ft, stats) = exec
             .multiply_string_ft(&mats, &mut NoFaults, &mut NullSink, 0)
             .expect("fault-free run");
@@ -747,7 +748,6 @@ mod tests {
 
     #[test]
     fn persistent_death_exhausts_retries() {
-        use sdp_trace::NullSink;
         /// Kills task 0 on every attempt, forever.
         struct AlwaysKillTask0;
         impl FaultInjector for AlwaysKillTask0 {

@@ -90,7 +90,7 @@ impl<S: Semiring> MeshProcessingElement for BatchMacPe<S> {
 }
 
 /// Result of one array multiplication.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MatmulRun<S: Semiring> {
     /// The product matrix.
     pub product: Matrix<S>,
@@ -102,7 +102,7 @@ pub struct MatmulRun<S: Semiring> {
 
 /// Result of a batched array run: `B` independent products streamed
 /// back-to-back through one mesh.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchMatmulRun<S: Semiring> {
     /// One product per input pair, in batch order.
     pub products: Vec<Matrix<S>>,
@@ -145,18 +145,11 @@ impl MatmulArray {
     /// after instance 0's, so each PE's operand stream is contiguous and
     /// the array never idles between instances.  Returns typed errors
     /// for an empty batch, mismatched inner dimensions, or instances
-    /// whose shape differs from instance 0's.
-    pub fn multiply_batch<S: Semiring>(
-        pairs: &[(Matrix<S>, Matrix<S>)],
-    ) -> Result<BatchMatmulRun<S>, SdpError> {
-        Self::multiply_batch_traced(pairs, &mut NullSink)
-    }
-
-    /// [`multiply_batch`](Self::multiply_batch) with an event sink.  A
-    /// batch of one emits exactly the event stream of
-    /// [`multiply_traced`](Self::multiply_traced); larger batches
-    /// interleave the instances' word streams on the same cycle axis.
-    pub fn multiply_batch_traced<S: Semiring, K: TraceSink>(
+    /// whose shape differs from instance 0's.  A batch of one emits
+    /// exactly the event stream of [`multiply`](Self::multiply); larger
+    /// batches interleave the instances' word streams on the same cycle
+    /// axis.
+    pub fn multiply_batch<S: Semiring, K: TraceSink>(
         pairs: &[(Matrix<S>, Matrix<S>)],
         sink: &mut K,
     ) -> Result<BatchMatmulRun<S>, SdpError> {
@@ -190,7 +183,7 @@ impl MatmulArray {
         );
         let total = Self::t_batch(p, q, r, bn);
         for t in 0..total {
-            mesh.cycle_traced(
+            mesh.cycle(
                 |i| {
                     // Instance `inst`'s a_{i,k} enters row i at cycle
                     // i + k + inst·q.
@@ -231,34 +224,11 @@ impl MatmulArray {
         })
     }
 
-    /// Multiplies `a · b` on a `p × r` mesh; panics on dimension
-    /// mismatch.  Works over any [`Semiring`].
-    pub fn multiply<S: Semiring>(a: &Matrix<S>, b: &Matrix<S>) -> MatmulRun<S> {
-        Self::multiply_traced(a, b, &mut NullSink)
-    }
-
-    /// [`multiply`](Self::multiply) with an event sink.  PE indices are
-    /// row-major over the `p × r` mesh; operand streams appear as
-    /// `WordIn` on the west/north edges.
-    pub fn multiply_traced<S: Semiring, K: TraceSink>(
-        a: &Matrix<S>,
-        b: &Matrix<S>,
-        sink: &mut K,
-    ) -> MatmulRun<S> {
-        Self::try_multiply_traced(a, b, sink).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`multiply`](Self::multiply) that reports mismatched inner
-    /// dimensions as a typed error instead of panicking.
-    pub fn try_multiply<S: Semiring>(
-        a: &Matrix<S>,
-        b: &Matrix<S>,
-    ) -> Result<MatmulRun<S>, SdpError> {
-        Self::try_multiply_traced(a, b, &mut NullSink)
-    }
-
-    /// [`multiply_traced`](Self::multiply_traced) with typed errors.
-    pub fn try_multiply_traced<S: Semiring, K: TraceSink>(
+    /// Multiplies `a · b` on a `p × r` mesh over any [`Semiring`];
+    /// mismatched inner dimensions are a typed error.  PE indices in
+    /// `sink`'s events are row-major over the mesh; operand streams
+    /// appear as `WordIn` on the west/north edges.
+    pub fn multiply<S: Semiring, K: TraceSink>(
         a: &Matrix<S>,
         b: &Matrix<S>,
         sink: &mut K,
@@ -267,22 +237,22 @@ impl MatmulArray {
         // `S: FaultyWord` of every caller, and the plain mesh never
         // consults an injector anyway.
         Self::run_mesh(a, b, sink, |mesh, west, north, sink| {
-            mesh.cycle_traced(west, north, |_, _| (), sink);
+            mesh.cycle(west, north, |_, _| (), sink);
         })
     }
 
-    /// [`try_multiply_traced`](Self::try_multiply_traced) with a
-    /// [`FaultInjector`] corrupting the operand words a PE drives east
-    /// and south (requires a corruptible word type).  With
-    /// [`sdp_fault::NoFaults`] this is exactly the fault-free mesh run.
-    pub fn multiply_fault_traced<S: Semiring + FaultyWord, F: FaultInjector, K: TraceSink>(
+    /// [`multiply`](Self::multiply) with a [`FaultInjector`] corrupting
+    /// the operand words a PE drives east and south (requires a
+    /// corruptible word type).  With [`sdp_fault::NoFaults`] this is
+    /// exactly the fault-free mesh run.
+    pub fn multiply_fault<S: Semiring + FaultyWord, F: FaultInjector, K: TraceSink>(
         a: &Matrix<S>,
         b: &Matrix<S>,
         injector: &mut F,
         sink: &mut K,
     ) -> Result<MatmulRun<S>, SdpError> {
         Self::run_mesh(a, b, sink, |mesh, west, north, sink| {
-            mesh.cycle_fault_traced(west, north, |_, _| (), injector, sink);
+            mesh.cycle_fault(west, north, |_, _| (), injector, sink);
         })
     }
 
@@ -345,37 +315,15 @@ impl MatmulArray {
     /// Multiplies an entire string by the §4 divide-and-conquer schedule
     /// using *array simulations* for every product: `k` arrays work in
     /// synchronous rounds of `T₁` cycles each.  Returns the product and
-    /// the total cycle count `rounds × T₁` (square matrices only).
-    pub fn multiply_string_dnc<S: Semiring>(mats: &[Matrix<S>], k: u64) -> (Matrix<S>, u64) {
-        Self::multiply_string_dnc_traced(mats, k, &mut NullSink)
-    }
-
-    /// [`multiply_string_dnc`](Self::multiply_string_dnc) with an event
-    /// sink recording the *schedule* — one `CycleStart` per synchronous
+    /// the total cycle count `rounds × T₁` (square matrices only; an
+    /// empty or non-square string is a typed error).
+    ///
+    /// `sink` records the *schedule* — one `CycleStart` per synchronous
     /// round and a `TaskStart`/`TaskEnd` pair per product, tagged with
     /// the array slot it runs on.  The inner mesh simulations are left
-    /// untraced (their per-cycle detail belongs to `multiply_traced`).
-    pub fn multiply_string_dnc_traced<S: Semiring, K: TraceSink>(
-        mats: &[Matrix<S>],
-        k: u64,
-        sink: &mut K,
-    ) -> (Matrix<S>, u64) {
-        Self::try_multiply_string_dnc_traced(mats, k, sink).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`multiply_string_dnc`](Self::multiply_string_dnc) that reports
-    /// an empty or non-square string as a typed error instead of
-    /// panicking.
-    pub fn try_multiply_string_dnc<S: Semiring>(
-        mats: &[Matrix<S>],
-        k: u64,
-    ) -> Result<(Matrix<S>, u64), SdpError> {
-        Self::try_multiply_string_dnc_traced(mats, k, &mut NullSink)
-    }
-
-    /// [`multiply_string_dnc_traced`](Self::multiply_string_dnc_traced)
-    /// with typed errors.
-    pub fn try_multiply_string_dnc_traced<S: Semiring, K: TraceSink>(
+    /// untraced (their per-cycle detail belongs to
+    /// [`multiply`](Self::multiply)).
+    pub fn multiply_string_dnc<S: Semiring, K: TraceSink>(
         mats: &[Matrix<S>],
         k: u64,
         sink: &mut K,
@@ -411,16 +359,16 @@ impl MatmulArray {
                             array: slot as u32,
                         });
                     }
-                    let product = Self::multiply(&pair[0], &pair[1]).product;
+                    let product = Self::multiply(&pair[0], &pair[1], &mut NullSink)?.product;
                     if K::ENABLED {
                         sink.record(Event::TaskEnd {
                             task: task_id + slot as u32,
                             array: slot as u32,
                         });
                     }
-                    product
+                    Ok(product)
                 })
-                .collect();
+                .collect::<Result<_, SdpError>>()?;
             task_id += products.len() as u32;
             round += 1;
             layer = products.into_iter().chain(rest).collect();
@@ -451,7 +399,7 @@ mod tests {
         for m in 1..=6 {
             let a = rand_mat(m as u64, m, m);
             let b = rand_mat(m as u64 + 100, m, m);
-            let run = MatmulArray::multiply(&a, &b);
+            let run = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
             assert_eq!(run.product, a.mul(&b), "m={m}");
             assert_eq!(run.cycles, (3 * m - 2) as u64, "m={m}");
         }
@@ -462,7 +410,7 @@ mod tests {
         for (p, q, r) in [(2usize, 5usize, 3usize), (1, 4, 6), (7, 1, 2), (3, 3, 1)] {
             let a = rand_mat((p * q) as u64, p, q);
             let b = rand_mat((q * r) as u64, q, r);
-            let run = MatmulArray::multiply(&a, &b);
+            let run = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
             assert_eq!(run.product, a.mul(&b), "({p},{q},{r})");
             assert_eq!(run.cycles, MatmulArray::t1(p, q, r), "({p},{q},{r})");
         }
@@ -472,15 +420,30 @@ mod tests {
     fn works_over_other_semirings() {
         let a = Matrix::from_fn(3, 3, |i, j| MaxPlus::from((i * 3 + j) as i64));
         let b = Matrix::from_fn(3, 3, |i, j| MaxPlus::from((j * 2 + i) as i64));
-        assert_eq!(MatmulArray::multiply(&a, &b).product, a.mul(&b));
+        assert_eq!(
+            MatmulArray::multiply(&a, &b, &mut NullSink)
+                .unwrap()
+                .product,
+            a.mul(&b)
+        );
 
         let ones = Matrix::from_fn(2, 2, |_, _| CountPlus(1));
-        assert_eq!(MatmulArray::multiply(&ones, &ones).product, ones.mul(&ones));
+        assert_eq!(
+            MatmulArray::multiply(&ones, &ones, &mut NullSink)
+                .unwrap()
+                .product,
+            ones.mul(&ones)
+        );
 
         let mut adj = Matrix::<BoolOr>::zeros(3, 3);
         adj.set(0, 1, BoolOr(true));
         adj.set(1, 2, BoolOr(true));
-        assert_eq!(MatmulArray::multiply(&adj, &adj).product, adj.mul(&adj));
+        assert_eq!(
+            MatmulArray::multiply(&adj, &adj, &mut NullSink)
+                .unwrap()
+                .product,
+            adj.mul(&adj)
+        );
     }
 
     #[test]
@@ -489,7 +452,7 @@ mod tests {
         let (p, q, r) = (3usize, 4usize, 2usize);
         let a = rand_mat(1, p, q);
         let b = rand_mat(2, q, r);
-        let run = MatmulArray::multiply(&a, &b);
+        let run = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
         let busy: u64 = (0..p * r).map(|i| run.stats.busy(i)).sum();
         assert_eq!(busy, (p * q * r) as u64);
     }
@@ -500,7 +463,7 @@ mod tests {
         let m = 12;
         let a = rand_mat(7, m, m);
         let b = rand_mat(8, m, m);
-        let run = MatmulArray::multiply(&a, &b);
+        let run = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
         let u = run.stats.utilization().overall;
         let expect = m as f64 / (3 * m - 2) as f64;
         assert!((u - expect).abs() < 1e-9, "{u} vs {expect}");
@@ -510,9 +473,9 @@ mod tests {
     fn dnc_string_on_arrays_matches_fold_and_schedule() {
         let mats: Vec<Matrix<MinPlus>> = (0..6).map(|s| rand_mat(s, 3, 3)).collect();
         for k in [1u64, 2, 4] {
-            let (prod, cycles) = MatmulArray::multiply_string_dnc(&mats, k);
+            let (prod, cycles) = MatmulArray::multiply_string_dnc(&mats, k, &mut NullSink).unwrap();
             assert_eq!(prod, Matrix::string_product(&mats), "k={k}");
-            let rounds = TreeScheduler.simulate(6, k).rounds;
+            let rounds = TreeScheduler.simulate(6, k, &mut NullSink).unwrap().rounds;
             assert_eq!(cycles, rounds * MatmulArray::t1(3, 3, 3), "k={k}");
         }
     }
@@ -520,25 +483,17 @@ mod tests {
     #[test]
     fn single_matrix_needs_zero_cycles() {
         let mats = vec![rand_mat(1, 2, 2)];
-        let (prod, cycles) = MatmulArray::multiply_string_dnc(&mats, 4);
+        let (prod, cycles) = MatmulArray::multiply_string_dnc(&mats, 4, &mut NullSink).unwrap();
         assert_eq!(prod, mats[0]);
         assert_eq!(cycles, 0);
     }
 
     #[test]
-    #[should_panic(expected = "inner dimensions")]
-    fn mismatch_rejected() {
-        let a = rand_mat(1, 2, 3);
-        let b = rand_mat(2, 2, 2);
-        let _ = MatmulArray::multiply(&a, &b);
-    }
-
-    #[test]
-    fn try_multiply_reports_typed_errors() {
+    fn multiply_reports_typed_errors() {
         let a = rand_mat(1, 2, 3);
         let b = rand_mat(2, 2, 2);
         assert!(matches!(
-            MatmulArray::try_multiply(&a, &b),
+            MatmulArray::multiply(&a, &b, &mut NullSink),
             Err(SdpError::InnerDimMismatch {
                 left_cols: 3,
                 right_rows: 2
@@ -546,12 +501,12 @@ mod tests {
         ));
         let empty: Vec<Matrix<MinPlus>> = Vec::new();
         assert!(matches!(
-            MatmulArray::try_multiply_string_dnc(&empty, 2),
+            MatmulArray::multiply_string_dnc(&empty, 2, &mut NullSink),
             Err(SdpError::EmptyMatrixString)
         ));
         let mixed = vec![rand_mat(1, 2, 2), rand_mat(2, 3, 3)];
         assert!(matches!(
-            MatmulArray::try_multiply_string_dnc(&mixed, 2),
+            MatmulArray::multiply_string_dnc(&mixed, 2, &mut NullSink),
             Err(SdpError::NotSquare { index: 1, m: 2 })
         ));
     }
@@ -562,10 +517,9 @@ mod tests {
         use sdp_trace::CountingSink;
         let a = rand_mat(21, 3, 3);
         let b = rand_mat(22, 3, 3);
-        let clean = MatmulArray::multiply(&a, &b);
+        let clean = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
         // NoFaults path is bit-identical.
-        let same =
-            MatmulArray::multiply_fault_traced(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
+        let same = MatmulArray::multiply_fault(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(same.product, clean.product);
         assert_eq!(same.stats, clean.stats);
         // A stuck PE in the mesh interior corrupts the crossing operands.
@@ -576,7 +530,7 @@ mod tests {
         });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty = MatmulArray::multiply_fault_traced(&a, &b, &mut inj, &mut sink).unwrap();
+        let faulty = MatmulArray::multiply_fault(&a, &b, &mut inj, &mut sink).unwrap();
         assert_ne!(faulty.product, clean.product);
         assert_eq!(faulty.cycles, clean.cycles, "faults never stall the mesh");
         assert!(sink.faults_injected > 0);
@@ -587,9 +541,9 @@ mod tests {
         use sdp_trace::CountingSink;
         let a = rand_mat(3, 3, 4);
         let b = rand_mat(4, 4, 2);
-        let plain = MatmulArray::multiply(&a, &b);
+        let plain = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let traced = MatmulArray::multiply_traced(&a, &b, &mut sink);
+        let traced = MatmulArray::multiply(&a, &b, &mut sink).unwrap();
         assert_eq!(traced.product, plain.product);
         assert_eq!(traced.cycles, plain.cycles);
         assert_eq!(sink.cycles, plain.cycles);
@@ -608,10 +562,10 @@ mod tests {
             let pairs: Vec<(Matrix<MinPlus>, Matrix<MinPlus>)> = (0..b)
                 .map(|t| (rand_mat(t as u64, p, q), rand_mat(t as u64 + 50, q, r)))
                 .collect();
-            let batch = MatmulArray::multiply_batch(&pairs).unwrap();
+            let batch = MatmulArray::multiply_batch(&pairs, &mut NullSink).unwrap();
             assert_eq!(batch.products.len(), b);
             for (t, (a, bm)) in pairs.iter().enumerate() {
-                let single = MatmulArray::multiply(a, bm);
+                let single = MatmulArray::multiply(a, bm, &mut NullSink).unwrap();
                 assert_eq!(batch.products[t], single.product, "({p},{q},{r}) t={t}");
             }
             assert_eq!(batch.cycles, MatmulArray::t_batch(p, q, r, b));
@@ -624,8 +578,8 @@ mod tests {
         let pairs: Vec<(Matrix<MinPlus>, Matrix<MinPlus>)> = (0..16)
             .map(|t| (rand_mat(t, m, m), rand_mat(t + 100, m, m)))
             .collect();
-        let single = MatmulArray::multiply_batch(&pairs[..1]).unwrap();
-        let batch = MatmulArray::multiply_batch(&pairs).unwrap();
+        let single = MatmulArray::multiply_batch(&pairs[..1], &mut NullSink).unwrap();
+        let batch = MatmulArray::multiply_batch(&pairs, &mut NullSink).unwrap();
         assert!(
             batch.measured_pu() > single.measured_pu(),
             "batch {} vs single {}",
@@ -643,9 +597,9 @@ mod tests {
         let a = rand_mat(31, 3, 4);
         let b = rand_mat(32, 4, 2);
         let mut single_sink = RecordingSink::default();
-        let single = MatmulArray::multiply_traced(&a, &b, &mut single_sink);
+        let single = MatmulArray::multiply(&a, &b, &mut single_sink).unwrap();
         let mut batch_sink = RecordingSink::default();
-        let batch = MatmulArray::multiply_batch_traced(&[(a, b)], &mut batch_sink).unwrap();
+        let batch = MatmulArray::multiply_batch(&[(a, b)], &mut batch_sink).unwrap();
         assert_eq!(batch.products[0], single.product);
         assert_eq!(batch.cycles, single.cycles);
         assert_eq!(batch_sink.events, single_sink.events);
@@ -660,9 +614,9 @@ mod tests {
             .map(|t| (rand_mat(t, 3, 5), rand_mat(t + 9, 5, 2)))
             .collect();
         let mut single_sink = CountingSink::default();
-        let _ = MatmulArray::multiply_traced(&pairs[0].0, &pairs[0].1, &mut single_sink);
+        let _ = MatmulArray::multiply(&pairs[0].0, &pairs[0].1, &mut single_sink).unwrap();
         let mut batch_sink = CountingSink::default();
-        let batch = MatmulArray::multiply_batch_traced(&pairs, &mut batch_sink).unwrap();
+        let batch = MatmulArray::multiply_batch(&pairs, &mut batch_sink).unwrap();
         assert_eq!(batch_sink.words_in, 4 * single_sink.words_in);
         assert_eq!(batch_sink.cycles, batch.cycles);
         assert!(batch.cycles < 4 * single_sink.cycles, "instances overlap");
@@ -672,7 +626,7 @@ mod tests {
     fn batch_shape_errors_are_typed() {
         let empty: Vec<(Matrix<MinPlus>, Matrix<MinPlus>)> = Vec::new();
         assert!(matches!(
-            MatmulArray::multiply_batch(&empty),
+            MatmulArray::multiply_batch(&empty, &mut NullSink),
             Err(SdpError::EmptyBatch)
         ));
         let pairs = vec![
@@ -680,12 +634,12 @@ mod tests {
             (rand_mat(3, 2, 4), rand_mat(4, 4, 2)),
         ];
         assert!(matches!(
-            MatmulArray::multiply_batch(&pairs),
+            MatmulArray::multiply_batch(&pairs, &mut NullSink),
             Err(SdpError::BatchShapeMismatch { index: 1 })
         ));
         let bad = vec![(rand_mat(1, 2, 3), rand_mat(2, 2, 2))];
         assert!(matches!(
-            MatmulArray::multiply_batch(&bad),
+            MatmulArray::multiply_batch(&bad, &mut NullSink),
             Err(SdpError::InnerDimMismatch { .. })
         ));
     }
@@ -695,7 +649,7 @@ mod tests {
         use sdp_trace::CountingSink;
         let mats: Vec<Matrix<MinPlus>> = (0..6).map(|s| rand_mat(s, 2, 2)).collect();
         let mut sink = CountingSink::default();
-        let (prod, _) = MatmulArray::multiply_string_dnc_traced(&mats, 4, &mut sink);
+        let (prod, _) = MatmulArray::multiply_string_dnc(&mats, 4, &mut sink).unwrap();
         assert_eq!(prod, Matrix::string_product(&mats));
         // 6 → 3 → 2 → 1 matrices: 3 + 1 + 1 = 5 products in 3 rounds.
         assert_eq!(sink.task_starts, 5);

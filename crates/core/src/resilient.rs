@@ -26,7 +26,7 @@
 use crate::design1::{Design1Array, Design1Result};
 use crate::design2::{Design2Array, Design2Result};
 use crate::design3::{Design3Array, Design3Result};
-use crate::edit_array::{edit_distance_fault_traced, EditRun};
+use crate::edit_array::{edit_distance_mesh, EditRun};
 use crate::matmul_array::{MatmulArray, MatmulRun};
 use sdp_fault::{FaultInjector, FaultyWord, NoFaults, RecoveryStats, SdpError};
 use sdp_multistage::NodeValueGraph;
@@ -162,9 +162,9 @@ pub fn design1_tmr<F: FaultInjector, K: TraceSink>(
     let (res, stats, detected) = tmr_runs(
         |replica| {
             if replica == 0 {
-                array.run_fault_traced(mats, injector, sink)
+                array.run(mats, injector, sink)
             } else {
-                array.run_fault_traced(mats, &mut NoFaults, sink)
+                array.run(mats, &mut NoFaults, sink)
             }
         },
         |a, b| a.values == b.values,
@@ -186,9 +186,9 @@ pub fn design2_tmr<F: FaultInjector, K: TraceSink>(
     let (res, stats, detected) = tmr_runs(
         |replica| {
             if replica == 0 {
-                array.run_fault_traced(mats, injector, sink)
+                array.run(mats, injector, sink)
             } else {
-                array.run_fault_traced(mats, &mut NoFaults, sink)
+                array.run(mats, &mut NoFaults, sink)
             }
         },
         |a, b| a.values == b.values && a.path == b.path,
@@ -210,9 +210,9 @@ pub fn design3_tmr<F: FaultInjector, K: TraceSink>(
     let (res, stats, detected) = tmr_runs(
         |replica| {
             if replica == 0 {
-                array.run_fault_traced(g, injector, sink)
+                array.run(g, injector, sink)
             } else {
-                array.run_fault_traced(g, &mut NoFaults, sink)
+                array.run(g, &mut NoFaults, sink)
             }
         },
         |a, b| a.cost == b.cost && a.finals == b.finals && a.path == b.path,
@@ -237,9 +237,9 @@ where
     let (res, stats, detected) = tmr_runs(
         |replica| {
             if replica == 0 {
-                MatmulArray::multiply_fault_traced(a, b, injector, sink)
+                MatmulArray::multiply_fault(a, b, injector, sink)
             } else {
-                MatmulArray::multiply_fault_traced(a, b, &mut NoFaults, sink)
+                MatmulArray::multiply_fault(a, b, &mut NoFaults, sink)
             }
         },
         |x, y| x.product == y.product,
@@ -268,7 +268,7 @@ where
 {
     let (res, stats, detected) = recompute_runs(
         max_retries,
-        |_| MatmulArray::multiply_fault_traced(a, b, injector, sink),
+        |_| MatmulArray::multiply_fault(a, b, injector, sink),
         |x, y| x.product == y.product,
         |r| r.cycles,
     );
@@ -286,9 +286,9 @@ pub fn edit_distance_tmr<F: FaultInjector, K: TraceSink>(
     let (res, stats, detected) = tmr_runs(
         |replica| {
             if replica == 0 {
-                edit_distance_fault_traced(a, b, injector, sink)
+                edit_distance_mesh(a, b, injector, sink)
             } else {
-                edit_distance_fault_traced(a, b, &mut NoFaults, sink)
+                edit_distance_mesh(a, b, &mut NoFaults, sink)
             }
         },
         |x, y| x.distance == y.distance,
@@ -309,7 +309,7 @@ pub fn edit_distance_recompute<F: FaultInjector, K: TraceSink>(
 ) -> Result<(EditRun, RecoveryStats), SdpError> {
     let (res, stats, detected) = recompute_runs(
         max_retries,
-        |_| edit_distance_fault_traced(a, b, injector, sink),
+        |_| edit_distance_mesh(a, b, injector, sink),
         |x, y| x.distance == y.distance,
         |r| r.cycles,
     );
@@ -320,10 +320,9 @@ pub fn edit_distance_recompute<F: FaultInjector, K: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit_array::edit_distance_mesh;
     use sdp_fault::{Fault, FaultPlan, PlanInjector};
     use sdp_semiring::Cost;
-    use sdp_trace::CountingSink;
+    use sdp_trace::{CountingSink, NullSink};
 
     fn stuck_plan(pe: u32, value: i64) -> PlanInjector {
         PlanInjector::new(FaultPlan::new().with(Fault::StuckAt {
@@ -350,11 +349,11 @@ mod tests {
     fn design1_tmr_masks_stuck_at() {
         let array = Design1Array::new(4);
         let mats = demo_string(4, 3, 11);
-        let clean = array.run(&mats);
+        let clean = array.run(&mats, &mut NoFaults, &mut NullSink).unwrap();
         // The bare faulty run must actually be wrong, else TMR proves
         // nothing.
         let faulty = array
-            .run_fault_traced(&mats, &mut stuck_plan(2, 0), &mut sdp_trace::NullSink)
+            .run(&mats, &mut stuck_plan(2, 0), &mut NullSink)
             .unwrap();
         assert_ne!(faulty.values, clean.values);
 
@@ -375,7 +374,7 @@ mod tests {
     fn design2_and_design3_tmr_mask_stuck_at() {
         let mats = demo_string(3, 4, 5);
         let d2 = Design2Array::new(3);
-        let clean2 = d2.try_run(&mats).unwrap();
+        let clean2 = d2.run(&mats, &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
         let (voted2, s2) = design2_tmr(&d2, &mats, &mut stuck_plan(1, 0), &mut sink).unwrap();
         assert_eq!(voted2.values, clean2.values);
@@ -383,7 +382,7 @@ mod tests {
 
         let g = sdp_multistage::generate::traffic_light(7, 4, 3);
         let d3 = Design3Array::new(3);
-        let clean3 = d3.try_run(&g).unwrap();
+        let clean3 = d3.run(&g, &mut NoFaults, &mut NullSink).unwrap();
         let (voted3, s3) = design3_tmr(&d3, &g, &mut stuck_plan(1, 2), &mut sink).unwrap();
         assert_eq!(voted3.cost, clean3.cost);
         assert_eq!(voted3.finals, clean3.finals);
@@ -394,7 +393,7 @@ mod tests {
     fn matmul_tmr_masks_stuck_at() {
         let a = Matrix::<MinPlus>::from_fn(3, 3, |i, j| MinPlus(Cost::from((i * 3 + j) as i64)));
         let b = Matrix::<MinPlus>::from_fn(3, 3, |i, j| MinPlus(Cost::from((i + j) as i64)));
-        let clean = MatmulArray::multiply(&a, &b);
+        let clean = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
         let (voted, stats) = matmul_tmr(&a, &b, &mut stuck_plan(4, 0), &mut sink).unwrap();
         assert_eq!(voted.product, clean.product);
@@ -405,7 +404,8 @@ mod tests {
 
     #[test]
     fn edit_distance_tmr_masks_stuck_at() {
-        let clean = edit_distance_mesh(b"kitten", b"sitting");
+        let clean =
+            edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
         let (voted, stats) =
             edit_distance_tmr(b"kitten", b"sitting", &mut stuck_plan(0, 40), &mut sink).unwrap();
@@ -423,7 +423,7 @@ mod tests {
         // can be absorbed by the minimization (an alternative
         // alignment of equal cost masks it), which is silent-error
         // propagation, not detection.
-        let clean = edit_distance_mesh(b"flaw", b"lawn");
+        let clean = edit_distance_mesh(b"flaw", b"lawn", &mut NoFaults, &mut NullSink).unwrap();
         let mut inj = PlanInjector::new(FaultPlan::new().with(Fault::TransientFlip {
             pe: 15,
             cycle: 0,
@@ -456,7 +456,7 @@ mod tests {
     fn matmul_recompute_recovers_transient() {
         let a = Matrix::<MinPlus>::from_fn(2, 2, |i, j| MinPlus(Cost::from((i + 2 * j) as i64)));
         let b = Matrix::<MinPlus>::from_fn(2, 2, |i, j| MinPlus(Cost::from((3 * i + j) as i64)));
-        let clean = MatmulArray::multiply(&a, &b);
+        let clean = MatmulArray::multiply(&a, &b, &mut NullSink).unwrap();
         let mut inj = PlanInjector::new(FaultPlan::new().with(Fault::TransientFlip {
             pe: 0,
             cycle: 0,
@@ -470,10 +470,9 @@ mod tests {
 
     #[test]
     fn tmr_with_no_faults_is_clean() {
-        let clean = edit_distance_mesh(b"abc", b"abd");
+        let clean = edit_distance_mesh(b"abc", b"abd", &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let (run, stats) =
-            edit_distance_tmr(b"abc", b"abd", &mut sdp_fault::NoFaults, &mut sink).unwrap();
+        let (run, stats) = edit_distance_tmr(b"abc", b"abd", &mut NoFaults, &mut sink).unwrap();
         assert_eq!(run.distance, clean.distance);
         assert_eq!(stats.mismatches, 0);
         assert!(!stats.any_faults());
@@ -483,13 +482,7 @@ mod tests {
     #[test]
     fn invalid_input_propagates_not_votes() {
         let array = Design1Array::new(3);
-        let err = design1_tmr(
-            &array,
-            &[],
-            &mut sdp_fault::NoFaults,
-            &mut sdp_trace::NullSink,
-        )
-        .unwrap_err();
+        let err = design1_tmr(&array, &[], &mut NoFaults, &mut sdp_trace::NullSink).unwrap_err();
         assert_eq!(err, SdpError::EmptyMatrixString);
     }
 }

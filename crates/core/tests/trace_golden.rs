@@ -11,9 +11,11 @@
 
 use proptest::prelude::*;
 use sdp_core::{Design1Array, Design2Array, Design3Array};
+use sdp_fault::NoFaults;
 use sdp_multistage::generate;
 use sdp_trace::vcd::VcdSink;
 use sdp_trace::CountingSink;
+use sdp_trace::NullSink;
 
 /// Compares `actual` against the committed fixture, or rewrites the
 /// fixture when `GOLDEN_REGEN` is set.
@@ -33,7 +35,9 @@ fn assert_golden(actual: &str, golden: &str, path: &str) {
 fn design1_vcd_is_byte_identical_to_golden() {
     let g = generate::random_single_source_sink(7, 3, 2, 0, 9);
     let mut sink = VcdSink::for_linear_array("design1", 2);
-    let res = Design1Array::new(2).run_traced(g.matrix_string(), &mut sink);
+    let res = Design1Array::new(2)
+        .run(g.matrix_string(), &mut NoFaults, &mut sink)
+        .unwrap();
     assert_eq!(res.optimum(), sdp_multistage::solve::forward_dp(&g).cost);
     assert_golden(
         &sink.finish(),
@@ -63,9 +67,9 @@ proptest! {
         seed in 0u64..10_000, stages in 3usize..8, m in 1usize..6
     ) {
         let g = generate::random_single_source_sink(seed, stages, m, 0, 60);
-        let plain = Design1Array::new(m).run(g.matrix_string());
+        let plain = Design1Array::new(m).run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let traced = Design1Array::new(m).run_traced(g.matrix_string(), &mut sink);
+        let traced = Design1Array::new(m).run(g.matrix_string(), &mut NoFaults, &mut sink).unwrap();
         prop_assert_eq!(&plain.values, &traced.values);
         prop_assert_eq!(plain.cycles, traced.cycles);
         prop_assert_eq!(&plain.stats, &traced.stats);
@@ -78,9 +82,9 @@ proptest! {
         seed in 0u64..10_000, stages in 2usize..7, m in 1usize..6
     ) {
         let g = generate::random_uniform(seed, stages, m, 0, 60);
-        let plain = Design2Array::new(m).run(g.matrix_string());
+        let plain = Design2Array::new(m).run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let traced = Design2Array::new(m).run_traced(g.matrix_string(), &mut sink);
+        let traced = Design2Array::new(m).run(g.matrix_string(), &mut NoFaults, &mut sink).unwrap();
         prop_assert_eq!(&plain.values, &traced.values);
         prop_assert_eq!(plain.cycles, traced.cycles);
         prop_assert_eq!(plain.broadcast_words, traced.broadcast_words);
@@ -96,9 +100,9 @@ proptest! {
         let g = generate::node_value_random(
             seed, n, m, Box::new(sdp_multistage::node_value::AbsDiff), -30, 30,
         );
-        let plain = Design3Array::new(m).run(&g);
+        let plain = Design3Array::new(m).run(&g, &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let traced = Design3Array::new(m).run_traced(&g, &mut sink);
+        let traced = Design3Array::new(m).run(&g, &mut NoFaults, &mut sink).unwrap();
         prop_assert_eq!(plain.cost, traced.cost);
         prop_assert_eq!(&plain.finals, &traced.finals);
         prop_assert_eq!(&plain.path, &traced.path);
@@ -112,12 +116,12 @@ proptest! {
     fn edit_mesh_tracing_is_observation_only(
         seed in 0u64..1_000, la in 1usize..8, lb in 1usize..8
     ) {
-        use sdp_core::edit_array::{edit_distance_mesh, edit_distance_mesh_traced};
+        use sdp_core::edit_array::edit_distance_mesh;
         let a: Vec<u8> = (0..la).map(|i| b'a' + ((seed as usize + i) % 3) as u8).collect();
         let b: Vec<u8> = (0..lb).map(|i| b'a' + ((seed as usize * 7 + i) % 3) as u8).collect();
-        let plain = edit_distance_mesh(&a, &b);
+        let plain = edit_distance_mesh(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let traced = edit_distance_mesh_traced(&a, &b, &mut sink);
+        let traced = edit_distance_mesh(&a, &b, &mut NoFaults, &mut sink).unwrap();
         prop_assert_eq!(plain.distance, traced.distance);
         prop_assert_eq!(plain.cycles, traced.cycles);
         prop_assert_eq!(&plain.stats, &traced.stats);

@@ -94,6 +94,15 @@ pub enum SdpError {
         /// Minimum accepted value.
         min: u64,
     },
+    /// A numeric parameter is above its documented maximum.
+    ParameterTooLarge {
+        /// Parameter name as it appears in the API.
+        name: &'static str,
+        /// Value supplied.
+        got: u64,
+        /// Maximum accepted value.
+        max: u64,
+    },
     /// A worker task panicked (or was killed by fault injection) and
     /// could not be recovered within the retry budget.
     TaskPanicked {
@@ -214,6 +223,9 @@ impl fmt::Display for SdpError {
             SdpError::BadParameter { name, got, min } => {
                 write!(f, "parameter {name} must be at least {min} (got {got})")
             }
+            SdpError::ParameterTooLarge { name, got, max } => {
+                write!(f, "parameter {name} must be at most {max} (got {got})")
+            }
             SdpError::TaskPanicked { task, attempts } => {
                 write!(f, "task {task} panicked and stayed faulty after {attempts} attempts")
             }
@@ -305,6 +317,14 @@ mod tests {
             (SdpError::CyclicDag, "cyclic"),
             (SdpError::NoMatrices, "need at least one matrix"),
             (SdpError::NoArrays, "need at least one array"),
+            (
+                SdpError::ParameterTooLarge {
+                    name: "failed_pe",
+                    got: 5,
+                    max: 4,
+                },
+                "must be at most 4",
+            ),
         ];
         for (err, phrase) in cases {
             let msg = err.to_string();

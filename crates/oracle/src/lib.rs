@@ -16,9 +16,10 @@
 //! * [`diffcase`] — seeded, size-ramped random instance generators and
 //!   exhaustive small-N enumerators.
 //! * [`diff`] — the differential drivers: one input is pushed through
-//!   every applicable engine variant (`run`, `run_traced`, `try_*`,
-//!   `run_batch`, TMR/duplex resilient wrappers, `StealPool` D&C) and
-//!   each answer is required to be bit-identical to the oracle's.
+//!   every distinct engine path (the single run under a null and a
+//!   counting sink, `run_batch`, spare columns, TMR/duplex resilient
+//!   wrappers, `StealPool` D&C, the direct backends) and each answer is
+//!   required to be bit-identical to the oracle's.
 //! * [`invariants`] — machine-checked paper invariants (Eq. 9 PU, the
 //!   `N·m` / `(N+1)·m` cycle counts, Thm 1 schedule length, Props 2/3
 //!   timing) evaluated on the *measured* stats of every differential

@@ -27,7 +27,7 @@ use sdp_oracle::{diff, diffcase};
 fn exhaustive_small_knapsacks_match_oracle() {
     for (i, (items, cap)) in diffcase::knapsack_exhaustive_small().iter().enumerate() {
         let variants = diff::check_knapsack(&format!("exhaustive[{i}]"), items, *cap);
-        assert!(variants >= 13, "variant matrix shrank to {variants}");
+        assert!(variants >= 9, "variant matrix shrank to {variants}");
     }
 }
 
@@ -47,7 +47,7 @@ fn knapsack_ramp_matches_oracle() {
     for c in diffcase::knapsack_ramp(0x0CA5, 30) {
         let tag = format!("{} seed={:#x}", c.shape, c.seed);
         let (items, cap) = &c.instance;
-        assert!(diff::check_knapsack(&tag, items, *cap) >= 12);
+        assert!(diff::check_knapsack(&tag, items, *cap) >= 9);
     }
 }
 

@@ -17,7 +17,7 @@ use sdp_oracle::{diff, diffcase};
 fn exhaustive_small_strings_match_oracle() {
     for (i, mats) in diffcase::multistage_exhaustive_small().iter().enumerate() {
         let variants = diff::check_multistage_string(&format!("exhaustive[{i}]"), mats);
-        assert!(variants >= 21, "variant matrix shrank to {variants}");
+        assert!(variants >= 15, "variant matrix shrank to {variants}");
     }
 }
 
@@ -27,7 +27,7 @@ fn exhaustive_small_strings_match_oracle() {
 fn uniform_ramp_matches_oracle() {
     for c in diffcase::multistage_ramp(0xD1FF, 18) {
         let tag = format!("{} seed={:#x}", c.shape, c.seed);
-        assert!(diff::check_multistage_graph(&tag, &c.instance) >= 23);
+        assert!(diff::check_multistage_graph(&tag, &c.instance) >= 17);
     }
 }
 
@@ -37,7 +37,7 @@ fn uniform_ramp_matches_oracle() {
 fn single_source_sink_ramp_matches_oracle() {
     for c in diffcase::multistage_sss_ramp(0x5550, 18) {
         let tag = format!("{} seed={:#x}", c.shape, c.seed);
-        assert!(diff::check_multistage_graph(&tag, &c.instance) >= 23);
+        assert!(diff::check_multistage_graph(&tag, &c.instance) >= 17);
     }
 }
 
@@ -46,7 +46,7 @@ fn single_source_sink_ramp_matches_oracle() {
 fn node_value_ramp_matches_oracle() {
     for c in diffcase::node_value_ramp(0x3D, 18) {
         let tag = format!("{} seed={:#x}", c.shape, c.seed);
-        assert!(diff::check_node_value(&tag, &c.instance) >= 8);
+        assert!(diff::check_node_value(&tag, &c.instance) >= 5);
     }
 }
 

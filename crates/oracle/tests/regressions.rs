@@ -12,9 +12,11 @@ use sdp_core::design2::Design2Array;
 use sdp_core::design3::Design3Array;
 use sdp_core::edit_array::{edit_distance_mesh, edit_distance_mesh_batch};
 use sdp_core::matmul_array::MatmulArray;
+use sdp_fault::NoFaults;
 use sdp_fault::SdpError;
 use sdp_multistage::generate;
 use sdp_semiring::{Matrix, MinPlus};
+use sdp_trace::NullSink;
 
 fn string(seed: u64, n: usize, m: usize) -> Vec<Matrix<MinPlus>> {
     generate::random_uniform(seed, n + 1, m, 0, 9)
@@ -25,7 +27,7 @@ fn string(seed: u64, n: usize, m: usize) -> Vec<Matrix<MinPlus>> {
 #[test]
 fn empty_edit_operands_report_zero_pes() {
     for (a, b) in [(&b""[..], &b""[..]), (b"", b"abc"), (b"abc", b"")] {
-        let run = edit_distance_mesh(a, b);
+        let run = edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.distance, (a.len() + b.len()) as u64);
         assert_eq!(run.cycles, 0, "fast path must not spin the mesh");
         assert_eq!(run.stats.num_pes(), 0, "fast path must build no PEs");
@@ -36,10 +38,13 @@ fn empty_edit_operands_report_zero_pes() {
 #[test]
 fn design1_batch_error_paths() {
     let arr = Design1Array::new(2);
-    assert!(matches!(arr.run_batch(&[]), Err(SdpError::EmptyBatch)));
+    assert!(matches!(
+        arr.run_batch(&[], &mut NullSink),
+        Err(SdpError::EmptyBatch)
+    ));
     let (a, b) = (string(1, 3, 2), string(2, 4, 2));
     assert!(matches!(
-        arr.run_batch(&[&a, &b]),
+        arr.run_batch(&[&a, &b], &mut NullSink),
         Err(SdpError::BatchShapeMismatch { index: 1 })
     ));
 }
@@ -47,10 +52,13 @@ fn design1_batch_error_paths() {
 #[test]
 fn design2_batch_error_paths() {
     let arr = Design2Array::new(2);
-    assert!(matches!(arr.run_batch(&[]), Err(SdpError::EmptyBatch)));
+    assert!(matches!(
+        arr.run_batch(&[], &mut NullSink),
+        Err(SdpError::EmptyBatch)
+    ));
     let (a, b) = (string(3, 3, 2), string(4, 4, 2));
     assert!(matches!(
-        arr.run_batch(&[&a, &b]),
+        arr.run_batch(&[&a, &b], &mut NullSink),
         Err(SdpError::BatchShapeMismatch { index: 1 })
     ));
 }
@@ -58,12 +66,15 @@ fn design2_batch_error_paths() {
 #[test]
 fn design3_batch_error_paths() {
     let arr = Design3Array::new(2);
-    assert!(matches!(arr.run_batch(&[]), Err(SdpError::EmptyBatch)));
+    assert!(matches!(
+        arr.run_batch(&[], &mut NullSink),
+        Err(SdpError::EmptyBatch)
+    ));
     let f = || Box::new(sdp_multistage::node_value::AbsDiff);
     let a = generate::node_value_random(5, 3, 2, f(), 0, 9);
     let b = generate::node_value_random(6, 4, 2, f(), 0, 9);
     assert!(matches!(
-        arr.run_batch(&[&a, &b]),
+        arr.run_batch(&[&a, &b], &mut NullSink),
         Err(SdpError::BatchShapeMismatch { index: 1 })
     ));
 }
@@ -71,14 +82,14 @@ fn design3_batch_error_paths() {
 #[test]
 fn matmul_batch_error_paths() {
     assert!(matches!(
-        MatmulArray::multiply_batch::<MinPlus>(&[]),
+        MatmulArray::multiply_batch::<MinPlus, _>(&[], &mut NullSink),
         Err(SdpError::EmptyBatch)
     ));
     let sq =
         |seed| Matrix::<MinPlus>::from_fn(2, 2, |i, j| MinPlus::from((seed + 2 * i + j) as i64));
     let wide = Matrix::<MinPlus>::from_fn(2, 3, |i, j| MinPlus::from((i + j) as i64));
     assert!(matches!(
-        MatmulArray::multiply_batch(&[(sq(0), sq(1)), (sq(2), wide)]),
+        MatmulArray::multiply_batch(&[(sq(0), sq(1)), (sq(2), wide)], &mut NullSink),
         Err(SdpError::BatchShapeMismatch { index: 1 })
     ));
 }
@@ -86,11 +97,11 @@ fn matmul_batch_error_paths() {
 #[test]
 fn edit_batch_error_paths() {
     assert!(matches!(
-        edit_distance_mesh_batch(&[]),
+        edit_distance_mesh_batch(&[], &mut NullSink),
         Err(SdpError::EmptyBatch)
     ));
     assert!(matches!(
-        edit_distance_mesh_batch(&[(b"ab", b"cd"), (b"abc", b"cd")]),
+        edit_distance_mesh_batch(&[(b"ab", b"cd"), (b"abc", b"cd")], &mut NullSink),
         Err(SdpError::BatchShapeMismatch { index: 1 })
     ));
 }

@@ -34,6 +34,7 @@ use sdp_core::matmul_array::MatmulArray;
 use sdp_fault::SdpError;
 use sdp_semiring::{Matrix, MinPlus};
 use sdp_trace::json::Json;
+use sdp_trace::NullSink;
 
 /// PE count for a matrix string (the interior square side, or the
 /// boundary vector length for single-source strings).
@@ -185,7 +186,7 @@ fn run_bucket_inner(
                 })
                 .collect();
             let array = Design1Array::try_new(string_m(strings[0]))?;
-            let batch = array.run_batch(&strings)?;
+            let batch = array.run_batch(&strings, &mut NullSink)?;
             Ok(batch
                 .values
                 .iter()
@@ -201,7 +202,7 @@ fn run_bucket_inner(
                 })
                 .collect();
             let array = Design2Array::try_new(string_m(strings[0]))?;
-            let batch = array.run_batch(&strings)?;
+            let batch = array.run_batch(&strings, &mut NullSink)?;
             Ok(batch
                 .values
                 .iter()
@@ -223,7 +224,7 @@ fn run_bucket_inner(
                     _ => unreachable!("bucket is single-class"),
                 })
                 .collect();
-            let batch = MatmulArray::multiply_batch(&pairs)?;
+            let batch = MatmulArray::multiply_batch(&pairs, &mut NullSink)?;
             Ok(batch
                 .products
                 .iter()
@@ -238,7 +239,7 @@ fn run_bucket_inner(
                     _ => unreachable!("bucket is single-class"),
                 })
                 .collect();
-            let batch = edit_distance_mesh_batch(&pairs)?;
+            let batch = edit_distance_mesh_batch(&pairs, &mut NullSink)?;
             Ok(batch
                 .distances
                 .iter()
@@ -286,7 +287,7 @@ fn run_bucket_inner(
                     _ => unreachable!("bucket is single-class"),
                 })
                 .collect();
-            let batch = sw_mesh_batch(&pairs, &align_scoring(bodies))?;
+            let batch = sw_mesh_batch(&pairs, None, &align_scoring(bodies), &mut NullSink)?;
             Ok(batch
                 .scores
                 .iter()
@@ -296,7 +297,7 @@ fn run_bucket_inner(
         }
         Class::Knapsack => {
             let (items, capacity) = knapsack_bucket(bodies);
-            let batch = knapsack_array_batch(&items, capacity)?;
+            let batch = knapsack_array_batch(&items, capacity, &mut NullSink)?;
             Ok(batch
                 .bests
                 .iter()
@@ -415,7 +416,7 @@ fn run_bucket_direct_inner(
                     _ => unreachable!("bucket is single-class"),
                 })
                 .collect();
-            let batch = sdp_backend::sw_direct_batch(&pairs, &align_scoring(bodies))?;
+            let batch = sdp_backend::sw_direct_batch(&pairs, None, &align_scoring(bodies))?;
             Ok(batch
                 .scores
                 .iter()
@@ -633,8 +634,8 @@ mod tests {
         };
         assert_eq!(body_work(&small), 4);
         assert_eq!(body_work(&big), 10_000);
-        assert_eq!(choose(&[small.clone()], 4096), EngineKind::Sim);
-        assert_eq!(choose(&[big.clone()], 4096), EngineKind::Direct);
+        assert_eq!(choose(std::slice::from_ref(&small), 4096), EngineKind::Sim);
+        assert_eq!(choose(std::slice::from_ref(&big), 4096), EngineKind::Direct);
         assert_eq!(choose(&[big], u64::MAX), EngineKind::Sim, "MAX pins sim");
         assert_eq!(choose(&[small], 0), EngineKind::Direct);
         // AND/OR measures zero work, so any positive threshold keeps it

@@ -13,10 +13,8 @@
 //! is one load).
 //!
 //! Two exporters share the counters:
-//! - [`Metrics::to_json`]: the `metrics` request's JSON document — a
-//!   strict superset of the PR 5 schema.  Every pre-existing field is
-//!   kept (including the `17_plus` batch-overflow key, now twinned
-//!   with the explicit `gt_16` label); new fields are appended.
+//! - [`Metrics::to_json`]: the `metrics` request's JSON document.  The
+//!   batch-size overflow bucket is labelled `gt_16`.
 //! - [`Metrics::render_prometheus`]: a Prometheus text exposition for
 //!   the `metrics_text` request.
 //!
@@ -47,8 +45,7 @@ pub const PHASES: [&str; 4] = ["coalesce", "queue", "engine", "respond"];
 
 /// JSON labels for the batch-size histogram buckets, aligned with the
 /// log₂ bounds 1, 2, 4, 8, 16 and the unbounded overflow.  The last
-/// bucket carries the explicit `gt_16` label (the PR 5 document also
-/// keeps its historical `17_plus` spelling for compatibility).
+/// bucket carries the explicit `gt_16` label.
 pub const BATCH_BUCKET_LABELS: [&str; 6] = ["1", "2", "3_4", "5_8", "9_16", "gt_16"];
 
 /// Slowest-requests ring capacity.
@@ -439,24 +436,14 @@ impl Metrics {
     }
 
     /// Renders the full JSON snapshot; `queue_depth` is sampled by the
-    /// caller from the admission queue at render time.  The document
-    /// is a strict superset of the PR 5 `metrics` schema.
+    /// caller from the admission queue at render time.
     pub fn to_json(&self, queue_depth: usize) -> Json {
         // Global batch-size histogram = sum of the per-class ones.
         let mut global_batches = HistogramSnapshot::empty(BATCH_BUCKET_LABELS.len());
         for c in &self.per_class {
             global_batches.merge(&c.batch_sizes.snapshot());
         }
-        // The global document keeps PR 5's `17_plus` overflow spelling
-        // in its original position and twins it with the explicit
-        // `gt_16` label (same count, deliberate alias).
-        let mut hist = Self::batch_hist_json(&global_batches);
-        let Json::Object(fields) = &mut hist else {
-            unreachable!()
-        };
-        let gt16 = fields.pop().expect("gt_16 present");
-        fields.push(("17_plus".to_string(), gt16.1.clone()));
-        fields.push(gt16);
+        let hist = Self::batch_hist_json(&global_batches);
 
         let hits = self.cache_hits.get();
         let misses = self.cache_misses.get();
@@ -775,13 +762,8 @@ mod tests {
             .map(|k| json::as_i64(json::get(hist, k).unwrap()).unwrap())
             .sum();
         assert_eq!(total, 10);
-        // The overflow bucket is explicitly labelled, and the legacy
-        // spelling reports the same count.
+        // The overflow bucket is explicitly labelled.
         assert_eq!(json::as_i64(json::get(hist, "gt_16").unwrap()), Some(2));
-        assert_eq!(
-            json::get(hist, "17_plus").and_then(json::as_i64),
-            json::get(hist, "gt_16").and_then(json::as_i64),
-        );
         assert_eq!(m.max_coalesced(), 100);
         // The per-class histogram sees the same sizes.
         let classes = json::get(&doc, "classes").unwrap();

@@ -710,7 +710,7 @@ pub fn error_kind(e: &SdpError) -> &'static str {
         SdpError::NotSquare { .. } => "not_square",
         SdpError::WrongStageWidth { .. } => "wrong_stage_width",
         SdpError::StringTooShort { .. } => "string_too_short",
-        SdpError::BadParameter { .. } => "bad_parameter",
+        SdpError::BadParameter { .. } | SdpError::ParameterTooLarge { .. } => "bad_parameter",
         SdpError::EmptyBatch => "empty_batch",
         SdpError::BatchShapeMismatch { .. } => "batch_shape_mismatch",
         SdpError::DeadlineExceeded { .. } => "deadline_exceeded",
@@ -966,6 +966,22 @@ mod tests {
                 ok_response(42, payload, true, 0),
             );
         }
+    }
+
+    #[test]
+    fn parameter_bounds_share_the_bad_parameter_kind() {
+        let low = SdpError::BadParameter {
+            name: "m",
+            got: 0,
+            min: 1,
+        };
+        let high = SdpError::ParameterTooLarge {
+            name: "failed_pe",
+            got: 5,
+            max: 4,
+        };
+        assert_eq!(error_kind(&low), "bad_parameter");
+        assert_eq!(error_kind(&high), "bad_parameter");
     }
 
     #[test]

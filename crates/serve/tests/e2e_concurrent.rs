@@ -146,9 +146,10 @@ fn sixty_four_concurrent_requests_match_oracle_batch_and_cache() {
     .expect("bind");
     let addr = handle.addr();
 
-    // (payload, cached, batch) per traffic slot, collected across all
-    // clients for post-hoc agreement checks.
-    let seen: Arc<Mutex<Vec<(usize, String, bool, i64)>>> = Arc::new(Mutex::new(Vec::new()));
+    // (slot, payload, cached, batch) per traffic slot, collected across
+    // all clients for post-hoc agreement checks.
+    type Seen = (usize, String, bool, i64);
+    let seen: Arc<Mutex<Vec<Seen>>> = Arc::new(Mutex::new(Vec::new()));
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let seen = Arc::clone(&seen);

@@ -11,12 +11,12 @@
 //! Bus accounting lives in the shared [`Stats`] registry rather than in
 //! private counters, so a design's bus-word and token-rotation claims
 //! (§3.2's I/O analysis) are verifiable from the same report as its
-//! cycle and utilization numbers: use the `*_traced` variants and pass
-//! the owning array's `stats_mut()`.
+//! cycle and utilization numbers: pass the owning array's `stats_mut()`
+//! to [`TokenBus::settle`].
 
 use crate::instrument::Stats;
 use sdp_fault::{BusFault, FaultInjector, FaultyWord, SdpError};
-use sdp_trace::{Event, FaultKind, NullSink, TraceSink};
+use sdp_trace::{Event, FaultKind, TraceSink};
 
 /// A single-word broadcast bus with a circulating pick-up token over `m`
 /// stations.
@@ -62,13 +62,9 @@ impl<W: Copy> TokenBus<W> {
         self.token
     }
 
-    /// Drives `word` onto the bus for the current cycle.
-    pub fn drive(&mut self, word: W) {
-        self.drive_traced(word, &mut NullSink);
-    }
-
-    /// [`drive`](Self::drive) with an event sink.
-    pub fn drive_traced<S: TraceSink>(&mut self, word: W, sink: &mut S) {
+    /// Drives `word` onto the bus for the current cycle, reporting a
+    /// `BusDrive` event to `sink`.
+    pub fn drive<S: TraceSink>(&mut self, word: W, sink: &mut S) {
         if S::ENABLED {
             sink.record(Event::BusDrive {
                 station: self.token as u32,
@@ -81,20 +77,11 @@ impl<W: Copy> TokenBus<W> {
     /// Completes the cycle: delivers the driven word (if any) to the token
     /// holder, clears the bus, and advances the token **only when a word
     /// was delivered** (the token marks the next station awaiting data).
+    /// Delivery and token-rotation accounting fold into `stats`; the
+    /// events go to `sink`.
     ///
     /// Returns `Some((station, word))` when a delivery happened.
-    pub fn settle(&mut self) -> Option<(usize, W)> {
-        let mut untracked = Stats::new(0);
-        self.settle_traced(&mut untracked, &mut NullSink)
-    }
-
-    /// [`settle`](Self::settle) that folds delivery and token-rotation
-    /// accounting into `stats` and reports the events to `sink`.
-    pub fn settle_traced<S: TraceSink>(
-        &mut self,
-        stats: &mut Stats,
-        sink: &mut S,
-    ) -> Option<(usize, W)> {
+    pub fn settle<S: TraceSink>(&mut self, stats: &mut Stats, sink: &mut S) -> Option<(usize, W)> {
         self.word.take().map(|w| {
             let st = self.token;
             self.token = (self.token + 1) % self.m;
@@ -112,13 +99,13 @@ impl<W: Copy> TokenBus<W> {
         })
     }
 
-    /// [`settle_traced`](Self::settle_traced) with a [`FaultInjector`]
+    /// [`settle`](Self::settle) with a [`FaultInjector`]
     /// that may drop or corrupt the driven word, or lose the token
     /// rotation (the word is delivered but the token stays put).  A
     /// dropped word advances nothing: the token still marks the station
     /// awaiting data.  With [`sdp_fault::NoFaults`] this is exactly
-    /// `settle_traced`.
-    pub fn settle_fault_traced<S: TraceSink, F: FaultInjector>(
+    /// `settle`.
+    pub fn settle_fault<F: FaultInjector, S: TraceSink>(
         &mut self,
         stats: &mut Stats,
         injector: &mut F,
@@ -128,7 +115,7 @@ impl<W: Copy> TokenBus<W> {
         W: FaultyWord,
     {
         if !F::ENABLED {
-            return self.settle_traced(stats, sink);
+            return self.settle(stats, sink);
         }
         let mut word = self.word.take()?;
         // Ordinal of the word currently on the bus (0-based).
@@ -189,21 +176,21 @@ impl<W: Copy> TokenBus<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdp_trace::CountingSink;
+    use sdp_trace::{CountingSink, NullSink};
 
     #[test]
     fn round_robin_delivery() {
         let mut bus = TokenBus::new(3);
         let mut stats = Stats::new(3);
         let mut sink = NullSink;
-        bus.drive(10);
-        assert_eq!(bus.settle_traced(&mut stats, &mut sink), Some((0, 10)));
-        bus.drive(11);
-        assert_eq!(bus.settle_traced(&mut stats, &mut sink), Some((1, 11)));
-        bus.drive(12);
-        assert_eq!(bus.settle_traced(&mut stats, &mut sink), Some((2, 12)));
-        bus.drive(13);
-        assert_eq!(bus.settle_traced(&mut stats, &mut sink), Some((0, 13))); // wrapped
+        bus.drive(10, &mut NullSink);
+        assert_eq!(bus.settle(&mut stats, &mut sink), Some((0, 10)));
+        bus.drive(11, &mut NullSink);
+        assert_eq!(bus.settle(&mut stats, &mut sink), Some((1, 11)));
+        bus.drive(12, &mut NullSink);
+        assert_eq!(bus.settle(&mut stats, &mut sink), Some((2, 12)));
+        bus.drive(13, &mut NullSink);
+        assert_eq!(bus.settle(&mut stats, &mut sink), Some((0, 13))); // wrapped
         assert_eq!(stats.bus_words(), 4);
         assert_eq!(stats.token_rotations(), 4);
     }
@@ -211,10 +198,11 @@ mod tests {
     #[test]
     fn idle_cycle_does_not_advance_token() {
         let mut bus = TokenBus::<u32>::new(2);
-        assert_eq!(bus.settle(), None);
+        let mut stats = Stats::new(2);
+        assert_eq!(bus.settle(&mut stats, &mut NullSink), None);
         assert_eq!(bus.token_at(), 0);
-        bus.drive(5);
-        assert_eq!(bus.settle(), Some((0, 5)));
+        bus.drive(5, &mut NullSink);
+        assert_eq!(bus.settle(&mut stats, &mut NullSink), Some((0, 5)));
         assert_eq!(bus.token_at(), 1);
     }
 
@@ -223,7 +211,7 @@ mod tests {
         let mut bus = TokenBus::<u32>::new(2);
         let mut stats = Stats::new(2);
         let mut sink = CountingSink::default();
-        assert_eq!(bus.settle_traced(&mut stats, &mut sink), None);
+        assert_eq!(bus.settle(&mut stats, &mut sink), None);
         assert_eq!(stats.bus_words(), 0);
         assert_eq!(stats.token_rotations(), 0);
         assert_eq!(sink.bus_delivers, 0);
@@ -233,18 +221,20 @@ mod tests {
     #[test]
     fn bus_word_is_cleared_after_settle() {
         let mut bus = TokenBus::new(2);
-        bus.drive(1);
-        bus.settle();
-        assert_eq!(bus.settle(), None);
+        let mut stats = Stats::new(2);
+        bus.drive(1, &mut NullSink);
+        bus.settle(&mut stats, &mut NullSink);
+        assert_eq!(bus.settle(&mut stats, &mut NullSink), None);
     }
 
     #[test]
     fn reset_token() {
         let mut bus = TokenBus::new(3);
-        bus.drive(1);
-        bus.settle();
-        bus.drive(2);
-        bus.settle();
+        let mut stats = Stats::new(3);
+        bus.drive(1, &mut NullSink);
+        bus.settle(&mut stats, &mut NullSink);
+        bus.drive(2, &mut NullSink);
+        bus.settle(&mut stats, &mut NullSink);
         bus.reset_token();
         assert_eq!(bus.token_at(), 0);
     }
@@ -254,8 +244,8 @@ mod tests {
         let mut bus = TokenBus::new(2);
         let mut stats = Stats::new(2);
         let mut sink = CountingSink::default();
-        bus.drive_traced(7, &mut sink);
-        let delivered = bus.settle_traced(&mut stats, &mut sink);
+        bus.drive(7, &mut sink);
+        let delivered = bus.settle(&mut stats, &mut sink);
         assert_eq!(delivered, Some((0, 7)));
         assert_eq!(sink.bus_drives, 1);
         assert_eq!(sink.bus_delivers, 1);
@@ -286,21 +276,18 @@ mod tests {
         let mut bus = TokenBus::new(3);
         let mut stats = Stats::new(3);
         let mut sink = CountingSink::default();
-        bus.drive(10u64);
+        bus.drive(10u64, &mut NullSink);
         assert_eq!(
-            bus.settle_fault_traced(&mut stats, &mut inj, &mut sink),
+            bus.settle_fault(&mut stats, &mut inj, &mut sink),
             Some((0, 10))
         );
-        bus.drive(11);
+        bus.drive(11, &mut NullSink);
         // Word ordinal 1 is dropped: no delivery, token stays at 1.
-        assert_eq!(
-            bus.settle_fault_traced(&mut stats, &mut inj, &mut sink),
-            None
-        );
+        assert_eq!(bus.settle_fault(&mut stats, &mut inj, &mut sink), None);
         assert_eq!(bus.token_at(), 1);
-        bus.drive(12);
+        bus.drive(12, &mut NullSink);
         assert_eq!(
-            bus.settle_fault_traced(&mut stats, &mut inj, &mut sink),
+            bus.settle_fault(&mut stats, &mut inj, &mut sink),
             Some((1, 12))
         );
         assert_eq!(stats.bus_words(), 2);
@@ -317,17 +304,17 @@ mod tests {
         let mut bus = TokenBus::new(2);
         let mut stats = Stats::new(2);
         let mut sink = CountingSink::default();
-        bus.drive(4u64);
+        bus.drive(4u64, &mut NullSink);
         // Bit 0 flipped on delivery.
         assert_eq!(
-            bus.settle_fault_traced(&mut stats, &mut inj, &mut sink),
+            bus.settle_fault(&mut stats, &mut inj, &mut sink),
             Some((0, 5))
         );
         assert_eq!(bus.token_at(), 1);
-        bus.drive(6);
+        bus.drive(6, &mut NullSink);
         // Rotation 1 is lost: word delivered, token stays put.
         assert_eq!(
-            bus.settle_fault_traced(&mut stats, &mut inj, &mut sink),
+            bus.settle_fault(&mut stats, &mut inj, &mut sink),
             Some((1, 6))
         );
         assert_eq!(bus.token_at(), 1);
@@ -344,10 +331,10 @@ mod tests {
         let mut stats_a = Stats::new(3);
         let mut stats_b = Stats::new(3);
         for w in 0..5u64 {
-            a.drive(w);
-            b.drive(w);
-            let pa = a.settle_traced(&mut stats_a, &mut NullSink);
-            let pb = b.settle_fault_traced(&mut stats_b, &mut NoFaults, &mut NullSink);
+            a.drive(w, &mut NullSink);
+            b.drive(w, &mut NullSink);
+            let pa = a.settle(&mut stats_a, &mut NullSink);
+            let pb = b.settle_fault(&mut stats_b, &mut NoFaults, &mut NullSink);
             assert_eq!(pa, pb);
         }
         assert_eq!(stats_a, stats_b);

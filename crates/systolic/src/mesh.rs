@@ -14,7 +14,7 @@
 #![allow(clippy::needless_range_loop)]
 use crate::instrument::Stats;
 use sdp_fault::{FaultInjector, FaultyWord, SdpError};
-use sdp_trace::{Event, NullSink, TraceSink};
+use sdp_trace::{Event, TraceSink};
 
 /// One PE of a 2-D mesh.
 pub trait MeshProcessingElement {
@@ -124,25 +124,15 @@ impl<P: MeshProcessingElement> Mesh2D<P> {
     ///
     /// * `west_in(r)` — word presented on row `r`'s west edge;
     /// * `north_in(c)` — word presented on column `c`'s north edge;
-    /// * `ctrl(r, c)` — per-PE control word.
+    /// * `ctrl(r, c)` — per-PE control word;
+    /// * `sink` — observes the cycle.  PE indices in the emitted events
+    ///   are row-major (`r * cols + c`); mesh latches are per-direction
+    ///   and internal, so no `LatchCommit` events are emitted — edge I/O
+    ///   appears as `WordIn`/`WordOut`.
     ///
     /// Returns `(east_out, south_out)`: this cycle's edge outputs.
     #[allow(clippy::type_complexity)]
-    pub fn cycle(
-        &mut self,
-        west_in: impl FnMut(usize) -> Option<P::Horiz>,
-        north_in: impl FnMut(usize) -> Option<P::Vert>,
-        ctrl: impl FnMut(usize, usize) -> P::Ctrl,
-    ) -> (Vec<Option<P::Horiz>>, Vec<Option<P::Vert>>) {
-        self.cycle_traced(west_in, north_in, ctrl, &mut NullSink)
-    }
-
-    /// [`cycle`](Self::cycle) with an event sink.  PE indices in the
-    /// emitted events are row-major (`r * cols + c`); mesh latches are
-    /// per-direction and internal, so no `LatchCommit` events are
-    /// emitted — edge I/O appears as `WordIn`/`WordOut`.
-    #[allow(clippy::type_complexity)]
-    pub fn cycle_traced<S: TraceSink>(
+    pub fn cycle<S: TraceSink>(
         &mut self,
         west_in: impl FnMut(usize) -> Option<P::Horiz>,
         north_in: impl FnMut(usize) -> Option<P::Vert>,
@@ -152,13 +142,13 @@ impl<P: MeshProcessingElement> Mesh2D<P> {
         self.cycle_core(west_in, north_in, ctrl, sink, |_, _, out, _| out)
     }
 
-    /// [`cycle_traced`](Self::cycle_traced) with a [`FaultInjector`]
-    /// deciding, per PE and cycle, whether the words the PE drives east
-    /// and south are corrupted.  One injected fault corrupts both
-    /// output latches of the PE (the classical single-PE failure
-    /// model); with [`sdp_fault::NoFaults`] the hook folds away.
+    /// [`cycle`](Self::cycle) with a [`FaultInjector`] deciding, per PE
+    /// and cycle, whether the words the PE drives east and south are
+    /// corrupted.  One injected fault corrupts both output latches of
+    /// the PE (the classical single-PE failure model); with
+    /// [`sdp_fault::NoFaults`] the hook folds away.
     #[allow(clippy::type_complexity)]
-    pub fn cycle_fault_traced<S: TraceSink, F: FaultInjector>(
+    pub fn cycle_fault<F: FaultInjector, S: TraceSink>(
         &mut self,
         west_in: impl FnMut(usize) -> Option<P::Horiz>,
         north_in: impl FnMut(usize) -> Option<P::Vert>,
@@ -296,6 +286,7 @@ impl<P: MeshProcessingElement> Mesh2D<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdp_trace::NullSink;
 
     /// Pass-through PE: words cross the mesh unchanged.
     #[derive(Default)]
@@ -332,19 +323,29 @@ mod tests {
     #[test]
     fn horizontal_word_crosses_in_cols_cycles() {
         let mut m = mesh(2, 3);
-        let (e, _) = m.cycle(|r| (r == 0).then_some(7), |_| None, |_, _| ());
+        let (e, _) = m.cycle(
+            |r| (r == 0).then_some(7),
+            |_| None,
+            |_, _| (),
+            &mut NullSink,
+        );
         assert_eq!(e, vec![None, None]);
-        let (e, _) = m.cycle(|_| None, |_| None, |_, _| ());
+        let (e, _) = m.cycle(|_| None, |_| None, |_, _| (), &mut NullSink);
         assert_eq!(e, vec![None, None]);
-        let (e, _) = m.cycle(|_| None, |_| None, |_, _| ());
+        let (e, _) = m.cycle(|_| None, |_| None, |_, _| (), &mut NullSink);
         assert_eq!(e, vec![Some(7), None]);
     }
 
     #[test]
     fn vertical_word_crosses_in_rows_cycles() {
         let mut m = mesh(2, 3);
-        m.cycle(|_| None, |c| (c == 2).then_some(9), |_, _| ());
-        let (_, s) = m.cycle(|_| None, |_| None, |_, _| ());
+        m.cycle(
+            |_| None,
+            |c| (c == 2).then_some(9),
+            |_, _| (),
+            &mut NullSink,
+        );
+        let (_, s) = m.cycle(|_| None, |_| None, |_, _| (), &mut NullSink);
         assert_eq!(s, vec![None, None, Some(9)]);
     }
 
@@ -352,8 +353,13 @@ mod tests {
     fn streams_do_not_interfere() {
         let mut m = mesh(2, 2);
         // inject both directions simultaneously on all edges
-        m.cycle(|r| Some(10 + r as u32), |c| Some(20 + c as u32), |_, _| ());
-        let (e, s) = m.cycle(|_| None, |_| None, |_, _| ());
+        m.cycle(
+            |r| Some(10 + r as u32),
+            |c| Some(20 + c as u32),
+            |_, _| (),
+            &mut NullSink,
+        );
+        let (e, s) = m.cycle(|_| None, |_| None, |_, _| (), &mut NullSink);
         assert_eq!(e, vec![Some(10), Some(11)]);
         assert_eq!(s, vec![Some(20), Some(21)]);
     }
@@ -361,7 +367,7 @@ mod tests {
     #[test]
     fn stats_track_io_and_busy() {
         let mut m = mesh(2, 2);
-        m.cycle(|_| Some(1), |_| Some(2), |_, _| ());
+        m.cycle(|_| Some(1), |_| Some(2), |_, _| (), &mut NullSink);
         let u = m.stats();
         assert_eq!(u.input_words(), 4);
         assert_eq!(u.cycles(), 1);
@@ -405,8 +411,8 @@ mod tests {
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
         let mut m = mesh(1, 2);
-        m.cycle_fault_traced(|_| Some(7u32), |_| None, |_, _| (), &mut inj, &mut sink);
-        let (e, _) = m.cycle_fault_traced(|_| None, |_| None, |_, _| (), &mut inj, &mut sink);
+        m.cycle_fault(|_| Some(7u32), |_| None, |_, _| (), &mut inj, &mut sink);
+        let (e, _) = m.cycle_fault(|_| None, |_| None, |_, _| (), &mut inj, &mut sink);
         // PE (0,0) is stuck: the word arrives at the east edge as 99.
         assert_eq!(e, vec![Some(99)]);
         assert!(sink.faults_injected >= 1);
@@ -414,13 +420,13 @@ mod tests {
         // NoFaults is the identity.
         let mut plain = mesh(1, 2);
         let mut clean = mesh(1, 2);
-        plain.cycle(|_| Some(7u32), |_| None, |_, _| ());
-        clean.cycle_fault_traced(
+        plain.cycle(|_| Some(7u32), |_| None, |_, _| (), &mut NullSink);
+        clean.cycle_fault(
             |_| Some(7u32),
             |_| None,
             |_, _| (),
             &mut NoFaults,
-            &mut sdp_trace::NullSink,
+            &mut NullSink,
         );
         assert_eq!(plain.stats(), clean.stats());
     }
@@ -430,8 +436,8 @@ mod tests {
         use sdp_trace::CountingSink;
         let mut m = mesh(2, 2);
         let mut sink = CountingSink::default();
-        m.cycle_traced(|_| Some(1), |_| Some(2), |_, _| (), &mut sink);
-        m.cycle_traced(|_| None, |_| None, |_, _| (), &mut sink);
+        m.cycle(|_| Some(1), |_| Some(2), |_, _| (), &mut sink);
+        m.cycle(|_| None, |_| None, |_, _| (), &mut sink);
         let s = m.stats();
         assert_eq!(sink.cycles, s.cycles());
         assert_eq!(sink.words_in, s.input_words());

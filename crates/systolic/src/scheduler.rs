@@ -19,7 +19,7 @@
 use sdp_fault::SdpError;
 use sdp_trace::chrome::ChromeTrace;
 use sdp_trace::json::Json;
-use sdp_trace::{Event, NullSink, TraceSink};
+use sdp_trace::{Event, TraceSink};
 
 /// The outcome of scheduling one divide-and-conquer reduction.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,27 +93,12 @@ impl TreeScheduler {
     /// (initially the `N` leaves); each round at most `min(K, ⌊R/2⌋)`
     /// disjoint pairs are multiplied, each consuming two operands and
     /// producing one.  Runs until a single result remains.
-    pub fn simulate(&self, n: u64, k: u64) -> Schedule {
-        self.simulate_traced(n, k, &mut NullSink)
-    }
-
-    /// [`simulate`](Self::simulate) with an event sink: each round emits
-    /// a `CycleStart`, and every multiply task emits a matching
-    /// `TaskStart`/`TaskEnd` pair on its array (tasks are numbered in
-    /// execution order).
-    pub fn simulate_traced<S: TraceSink>(&self, n: u64, k: u64, sink: &mut S) -> Schedule {
-        self.try_simulate_traced(n, k, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`simulate`](Self::simulate) that reports malformed parameters
-    /// as a typed error instead of panicking.
-    pub fn try_simulate(&self, n: u64, k: u64) -> Result<Schedule, SdpError> {
-        self.try_simulate_traced(n, k, &mut NullSink)
-    }
-
-    /// [`simulate_traced`](Self::simulate_traced) with typed errors.
-    pub fn try_simulate_traced<S: TraceSink>(
+    ///
+    /// Each round emits a `CycleStart` to `sink`, and every multiply
+    /// task emits a matching `TaskStart`/`TaskEnd` pair on its array
+    /// (tasks are numbered in execution order).  `n < 1` or `k < 1` is
+    /// a typed error.
+    pub fn simulate<S: TraceSink>(
         &self,
         n: u64,
         k: u64,
@@ -383,10 +368,15 @@ impl DagScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdp_trace::NullSink;
+
+    fn sim(n: u64, k: u64) -> Schedule {
+        TreeScheduler.simulate(n, k, &mut NullSink).unwrap()
+    }
 
     #[test]
     fn single_matrix_needs_no_work() {
-        let s = TreeScheduler.simulate(1, 4);
+        let s = sim(1, 4);
         assert_eq!(s.rounds, 0);
         assert_eq!(s.total_tasks(), 0);
         assert_eq!(s.processor_utilization(), 1.0);
@@ -394,7 +384,7 @@ mod tests {
 
     #[test]
     fn two_matrices_one_round() {
-        let s = TreeScheduler.simulate(2, 4);
+        let s = sim(2, 4);
         assert_eq!(s.rounds, 1);
         assert_eq!(s.total_tasks(), 1);
     }
@@ -403,7 +393,7 @@ mod tests {
     fn total_tasks_is_n_minus_1() {
         for n in [2u64, 3, 7, 16, 100, 255] {
             for k in [1u64, 2, 5, 64] {
-                let s = TreeScheduler.simulate(n, k);
+                let s = sim(n, k);
                 assert_eq!(s.total_tasks(), n - 1, "n={n} k={k}");
             }
         }
@@ -411,20 +401,20 @@ mod tests {
 
     #[test]
     fn one_array_is_fully_serial() {
-        let s = TreeScheduler.simulate(10, 1);
+        let s = sim(10, 1);
         assert_eq!(s.rounds, 9);
         assert!((s.processor_utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn unlimited_arrays_take_log_rounds() {
-        let s = TreeScheduler.simulate(1024, 1 << 30);
+        let s = sim(1024, 1 << 30);
         assert_eq!(s.rounds, 10);
     }
 
     #[test]
     fn phases_partition_rounds() {
-        let s = TreeScheduler.simulate(64, 5);
+        let s = sim(64, 5);
         assert_eq!(s.computation_rounds + s.winddown_rounds, s.rounds);
         assert!(s.winddown_rounds >= 1);
     }
@@ -457,7 +447,7 @@ mod tests {
         // couple of rounds across a wide sweep.
         for n in [256u64, 1024, 4096] {
             for k in [3u64, 17, 100, 431, 1000] {
-                let sim = TreeScheduler.simulate(n, k).rounds;
+                let sim = sim(n, k).rounds;
                 let formula = eq29_time(n, k);
                 let diff = sim.abs_diff(formula);
                 assert!(diff <= 2, "n={n} k={k} sim={sim} eq29={formula}");
@@ -527,7 +517,7 @@ mod tests {
         });
         let s = DagScheduler.schedule(&tasks, 8);
         assert_eq!(s.makespan, 3);
-        let sim = TreeScheduler.simulate(8, 8);
+        let sim = sim(8, 8);
         assert_eq!(sim.rounds, 3);
     }
 
@@ -565,8 +555,8 @@ mod tests {
 
     #[test]
     fn pu_decreases_with_more_arrays() {
-        let few = TreeScheduler.simulate(1024, 8).processor_utilization();
-        let many = TreeScheduler.simulate(1024, 512).processor_utilization();
+        let few = sim(1024, 8).processor_utilization();
+        let many = sim(1024, 512).processor_utilization();
         assert!(few > many);
     }
 
@@ -574,8 +564,8 @@ mod tests {
     fn traced_simulation_matches_untraced() {
         use sdp_trace::CountingSink;
         let mut sink = CountingSink::default();
-        let traced = TreeScheduler.simulate_traced(64, 5, &mut sink);
-        let untraced = TreeScheduler.simulate(64, 5);
+        let traced = TreeScheduler.simulate(64, 5, &mut sink).unwrap();
+        let untraced = sim(64, 5);
         assert_eq!(traced, untraced);
         assert_eq!(sink.cycles, traced.rounds);
         assert_eq!(sink.task_starts, traced.total_tasks());
@@ -584,7 +574,7 @@ mod tests {
 
     #[test]
     fn schedule_chrome_trace_has_one_span_per_task() {
-        let s = TreeScheduler.simulate(16, 3);
+        let s = sim(16, 3);
         let trace = s.to_chrome_trace();
         assert_eq!(trace.spans.len() as u64, s.total_tasks());
         // Final round is wind-down (one task left).
@@ -645,8 +635,14 @@ mod tests {
 
     #[test]
     fn tree_zero_arrays_is_a_typed_error_not_a_panic() {
-        assert_eq!(TreeScheduler.try_simulate(8, 0), Err(SdpError::NoArrays));
-        assert_eq!(TreeScheduler.try_simulate(0, 4), Err(SdpError::NoMatrices));
+        assert_eq!(
+            TreeScheduler.simulate(8, 0, &mut NullSink),
+            Err(SdpError::NoArrays)
+        );
+        assert_eq!(
+            TreeScheduler.simulate(0, 4, &mut NullSink),
+            Err(SdpError::NoMatrices)
+        );
         assert_eq!(try_eq29_time(8, 0), Err(SdpError::NoArrays));
     }
 
@@ -655,7 +651,7 @@ mod tests {
         // n = 1 means zero multiply tasks: the trace must be empty and
         // still renderable — callers must not assume `spans.last()` is
         // Some (the companion test above only unwraps it for n > 1).
-        let s = TreeScheduler.simulate(1, 3);
+        let s = sim(1, 3);
         assert_eq!(s.total_tasks(), 0);
         let trace = s.to_chrome_trace();
         assert!(trace.spans.is_empty());

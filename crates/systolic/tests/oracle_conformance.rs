@@ -6,6 +6,7 @@ use proptest::proptest;
 use sdp_oracle::strategies::ScheduleShapeStrategy;
 use sdp_oracle::{diff, invariants, reference};
 use sdp_systolic::TreeScheduler;
+use sdp_trace::NullSink;
 
 proptest! {
     #[test]
@@ -18,6 +19,6 @@ proptest! {
         let (n, k) = shape;
         let t = reference::eq29_ref(n, k);
         assert_eq!(sdp_systolic::scheduler::eq29_kt2(n, k), k * t * t);
-        invariants::check_thm1(n, k, &TreeScheduler.simulate(n, k));
+        invariants::check_thm1(n, k, &TreeScheduler.simulate(n, k, &mut NullSink).unwrap());
     }
 }

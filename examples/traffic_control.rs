@@ -23,7 +23,9 @@ fn main() {
         println!("phase {s}: candidate times {:?}", plan.stage_values(s));
     }
 
-    let res = Design3Array::new(slots).run(&plan);
+    let res = Design3Array::new(slots)
+        .run(&plan, &mut NoFaults, &mut NullSink)
+        .expect("stages of width m");
     println!("\noptimal total timing disruption: {}", res.cost);
     print!("chosen schedule: ");
     let times: Vec<i64> = res

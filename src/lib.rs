@@ -30,11 +30,20 @@
 //! // Sequential dynamic programming (the baseline)...
 //! let dp = solve::forward_dp(&g);
 //!
-//! // ...and the paper's pipelined systolic array (Design 1, Fig. 3).
-//! let systolic = Design1Array::new(4).run(g.matrix_string());
+//! // ...and the paper's pipelined systolic array (Design 1, Fig. 3),
+//! // with no fault injection and no tracing.
+//! let systolic = Design1Array::new(4)
+//!     .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+//!     .expect("a valid matrix string");
 //!
 //! assert_eq!(systolic.optimum(), dp.cost);
 //! ```
+//!
+//! Every engine has one entry point that takes a fault injector and an
+//! event sink by `&mut`: pass [`NoFaults`](prelude::NoFaults) and
+//! [`NullSink`](prelude::NullSink) for a plain run (both compile away),
+//! an `sdp_fault::PlanInjector` to inject faults, or an
+//! `sdp_trace::CountingSink` or `sdp_trace::vcd::VcdSink` to observe it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +69,8 @@ pub mod prelude {
     pub use sdp_core::gkt::GktArray;
     pub use sdp_core::knapsack_array::{knapsack_array, KnapsackItem};
     pub use sdp_core::{Design1Array, Design2Array, Design3Array};
+    pub use sdp_fault::NoFaults;
     pub use sdp_multistage::{generate, solve, MultistageGraph, NodeValueGraph};
     pub use sdp_semiring::{Cost, Matrix, MinPlus, Semiring};
+    pub use sdp_trace::NullSink;
 }

@@ -15,7 +15,9 @@ fn design3_fig1b_fifteen_iterations() {
         0,
         20,
     );
-    let res = Design3Array::new(3).run(&g);
+    let res = Design3Array::new(3)
+        .run(&g, &mut NoFaults, &mut NullSink)
+        .unwrap();
     assert_eq!(res.cycles, 15);
 }
 
@@ -31,7 +33,9 @@ fn design3_general_timing() {
             -9,
             9,
         );
-        let res = Design3Array::new(m).run(&g);
+        let res = Design3Array::new(m)
+            .run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.cycles, ((n + 1) * m) as u64, "n={n} m={m}");
     }
 }
@@ -41,7 +45,9 @@ fn design3_general_timing() {
 fn eq9_pu_formula() {
     for (stages, m) in [(10usize, 4u64), (20, 8), (50, 3)] {
         let g = generate::random_single_source_sink(3, stages, m as usize, 0, 9);
-        let res = Design1Array::new(m as usize).run(g.matrix_string());
+        let res = Design1Array::new(m as usize)
+            .run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let n = (stages - 1) as u64;
         let serial = solve::SerialCounts::matrix_string(n, m);
         let pu = res.paper_pu(serial, m);
@@ -125,7 +131,9 @@ fn io_reduction_claim() {
     let (node, edge) = g.io_words();
     assert_eq!(node, 200);
     assert_eq!(edge, 1900);
-    let res = Design3Array::new(10).run(&g);
+    let res = Design3Array::new(10)
+        .run(&g, &mut NoFaults, &mut NullSink)
+        .unwrap();
     assert_eq!(res.input_words, node as u64 + 1); // + the comparison token
 }
 
@@ -145,7 +153,7 @@ fn knapsack_array_cycles_match_closed_form() {
                 KnapsackItem::new(x % 7, (x >> 8) % 10)
             })
             .collect();
-        let run = knapsack_array(&items, capacity);
+        let run = knapsack_array(&items, capacity, &mut NoFaults, &mut NullSink).unwrap();
         let weight_sum: u64 = items.iter().map(|it| it.weight).sum();
         assert_eq!(
             run.cycles,
@@ -154,7 +162,12 @@ fn knapsack_array_cycles_match_closed_form() {
         );
     }
     // Empty item lists build no array and spend no cycles.
-    assert_eq!(knapsack_array(&[], 5).cycles, 0);
+    assert_eq!(
+        knapsack_array(&[], 5, &mut NoFaults, &mut NullSink)
+            .unwrap()
+            .cycles,
+        0
+    );
 }
 
 /// Fig. 2 structure: four matrices give six subchain (OR) processors —
