@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of Wah & Li (1985).
 //!
 //! ```text
-//! experiments [all|e1|e2|e3|fig6|prop1|thm1|thm2|prop2|prop3|eq40|table1|e12..e20|degradation|throughput|serve|observe|chaos|backend|workloads] [--json]
+//! experiments [all|e1|e2|e3|fig6|prop1|thm1|thm2|prop2|prop3|eq40|table1|e12..e20|degradation|throughput|serve|observe|chaos|backend] [--json]
 //! ```
 //!
 //! With `--json` the selected experiments are emitted as a single JSON
@@ -11,8 +11,7 @@
 //! `BENCH_pr3.json`, `serve --json` (E24, the serving-saturation
 //! experiment) writes `BENCH_pr10.json`, `observe --json` (E25) writes
 //! `BENCH_pr6.json`, `chaos --json` (E26) writes `BENCH_pr7.json`,
-//! `backend --json` (E27) writes `BENCH_pr8.json`, and `workloads
-//! --json` (E28) writes `BENCH_pr9.json`.
+//! and `backend --json` (E27) writes `BENCH_pr8.json`.
 
 use sdp_bench::experiments as ex;
 use sdp_bench::{reports_to_json, Report};
@@ -59,15 +58,12 @@ fn main() {
         "chaos-quick" => vec![ex::report_e26_quick()],
         "e27" | "backend" => vec![ex::report_e27()],
         "backend-quick" => vec![ex::report_e27_quick()],
-        "e28" | "workloads" => vec![ex::report_e28()],
-        "workloads-quick" => vec![ex::report_e28_quick()],
         other => {
             eprintln!(
                 "unknown experiment '{other}'; expected one of: all e1 e2 e3 fig6 \
                  prop1 thm1 thm2 prop2 prop3 eq40 table1 e12..e20 degradation \
                  throughput throughput-quick serve serve-quick observe \
-                 observe-quick chaos chaos-quick backend backend-quick workloads \
-                 workloads-quick [--json]"
+                 observe-quick chaos chaos-quick backend backend-quick [--json]"
             );
             std::process::exit(2);
         }
@@ -103,11 +99,6 @@ fn main() {
         if which == "e27" || which == "backend" {
             if let Err(e) = std::fs::write("BENCH_pr8.json", format!("{doc}\n")) {
                 eprintln!("warning: could not write BENCH_pr8.json: {e}");
-            }
-        }
-        if which == "e28" || which == "workloads" {
-            if let Err(e) = std::fs::write("BENCH_pr9.json", format!("{doc}\n")) {
-                eprintln!("warning: could not write BENCH_pr9.json: {e}");
             }
         }
     } else {

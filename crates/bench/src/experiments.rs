@@ -2197,9 +2197,12 @@ fn report_e26_sized(clients: usize, reqs_per_client: usize, seeds: &[u64]) -> Re
 /// E27 (direct backends): sim-vs-direct wall time per engine class
 /// across a size ramp, measured at the exact seam the serve dispatcher
 /// switches — `engine::run_bucket_on` — so the numbers are the latency
-/// a request actually trades when it crosses the threshold.  Locates
-/// the wall-clock crossover per class and records the speedup at the
-/// top of the ramp (the acceptance bar is ≥10× there).
+/// a request actually trades when it crosses the threshold.  Covers all
+/// eight dispatchable classes; every payload is first proved
+/// bit-identical between the two engines and, where the oracle can
+/// stand in (`engine::oracle_payload`), to the oracle's rendering.
+/// Locates the wall-clock crossover per class and records the speedup
+/// at the top of the ramp (the acceptance bar is ≥10× there).
 ///
 /// Emitted as `BENCH_pr8.json` by `experiments backend --json`.
 pub fn report_e27() -> Report {
@@ -2222,6 +2225,7 @@ pub fn report_e27_quick() -> Report {
 }
 
 fn report_e27_sized(ramp_len: usize, reps: usize) -> Report {
+    use sdp_core::knapsack_array::KnapsackItem;
     use sdp_semiring::{Matrix, MinPlus};
     use sdp_serve::engine::{self, EngineKind};
     use sdp_serve::protocol::{Body, Class};
@@ -2254,6 +2258,25 @@ fn report_e27_sized(ramp_len: usize, reps: usize) -> Report {
         Body::Multistage {
             design,
             mats: (0..n).map(|_| minplus_matrix(&mut s, m, m)).collect(),
+        }
+    };
+    let align_body = |len: usize| -> Body {
+        let mut s = 0xE281u64 | 1;
+        Body::Align {
+            a: (0..len).map(|_| draw(&mut s, 4) as u8).collect(),
+            b: (0..len).map(|_| draw(&mut s, 4) as u8).collect(),
+            matched: 2,
+            mismatched: -1,
+            gap: 1,
+        }
+    };
+    let knapsack_body = |n: usize, capacity: u64| -> Body {
+        let mut s = 0xE282u64 | 1;
+        Body::Knapsack {
+            items: (0..n)
+                .map(|_| KnapsackItem::new(1 + draw(&mut s, 8), 1 + draw(&mut s, 100)))
+                .collect(),
+            capacity,
         }
     };
     let ramps: Vec<Ramp> = vec![
@@ -2338,163 +2361,6 @@ fn report_e27_sized(ramp_len: usize, reps: usize) -> Report {
                 })
                 .collect(),
         ),
-    ];
-
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let mut report = Report::new(
-        "e27",
-        format!(
-            "E27 (direct backends): cycle-accurate sim vs compiled direct solver,\n\
-             wall time per class across a work ramp at the run_bucket_on dispatch\n\
-             seam; x{reps} reps (host cores: {cores})"
-        ),
-    );
-    report.headers = vec!["class", "size", "work", "sim ms", "direct ms", "speedup"];
-
-    let timed_ms = |kind: EngineKind, class: Class, body: &Body| -> f64 {
-        let bodies = std::slice::from_ref(body);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(engine::run_bucket_on(kind, class, bodies));
-        }
-        t0.elapsed().as_secs_f64() * 1e3 / reps as f64
-    };
-
-    let mut class_docs = Vec::new();
-    for (label, class, sizes) in &ramps {
-        let mut rows = Vec::new();
-        let mut crossover_work = Json::Null;
-        let mut speedup_at_max = 0.0f64;
-        for (desc, body) in sizes.iter().take(ramp_len) {
-            // Bit-identity first — never time two engines that disagree.
-            let sim_payload =
-                engine::run_bucket_on(EngineKind::Sim, *class, std::slice::from_ref(body));
-            let direct_payload =
-                engine::run_bucket_on(EngineKind::Direct, *class, std::slice::from_ref(body));
-            let identical = match (&sim_payload[0], &direct_payload[0]) {
-                (Ok(s), Ok(d)) => s.render() == d.render(),
-                _ => false,
-            };
-            assert!(
-                identical,
-                "E27 {label} {desc}: sim and direct payloads differ"
-            );
-
-            let work = engine::body_work(body);
-            let sim_ms = timed_ms(EngineKind::Sim, *class, body);
-            let direct_ms = timed_ms(EngineKind::Direct, *class, body);
-            let speedup = sim_ms / direct_ms;
-            speedup_at_max = speedup;
-            if matches!(crossover_work, Json::Null) && direct_ms <= sim_ms {
-                crossover_work = Json::from(work);
-            }
-            report.rows.push(vec![
-                (*label).into(),
-                desc.clone(),
-                format!("{work}"),
-                format!("{sim_ms:.3}"),
-                format!("{direct_ms:.3}"),
-                format!("{speedup:.1}x"),
-            ]);
-            rows.push(
-                Json::object()
-                    .with("size", desc.as_str())
-                    .with("work", work)
-                    .with("sim_ms", sim_ms)
-                    .with("direct_ms", direct_ms)
-                    .with("speedup", speedup)
-                    .with("payload_identical", true),
-            );
-        }
-        class_docs.push(
-            Json::object()
-                .with("class", *label)
-                .with("rows", Json::Array(rows))
-                .with("crossover_work", crossover_work)
-                .with("speedup_at_max", speedup_at_max),
-        );
-    }
-
-    report.notes = vec![
-        "payloads asserted bit-identical between sim and direct before timing;\n\
-         ms and speedup columns are host wall-clock, work columns deterministic."
-            .into(),
-        "crossover_work = smallest ramp work measure where the direct solver is\n\
-         at least as fast as the simulator; the serve --direct-threshold default\n\
-         (4096) sits inside every class's ramp."
-            .into(),
-        "expected gap differs by sim fidelity: edit/matmul/multistage1 serve\n\
-         from cycle-accurate PE arrays (order-of-magnitude interpretive\n\
-         overhead to strip), while multistage2 broadcast, chain, and BST serve\n\
-         paths already run flat DP loops, so direct wins only a constant factor\n\
-         there."
-            .into(),
-    ];
-    report.metrics = Json::object()
-        .with("host_cores", cores as u64)
-        .with("single_core_host", cores == 1)
-        .with("reps", reps as u64)
-        .with("ramp_len", ramp_len as u64)
-        .with("classes", Json::Array(class_docs));
-    report
-}
-
-/// E28 (DP workloads): the alignment and knapsack request classes at
-/// the same `run_bucket_on` dispatch seam E27 measures — sim vs direct
-/// wall time across a work ramp, with each payload first proved
-/// bit-identical between the two engines *and* to the independent
-/// oracle's `served_*` rendering.
-///
-/// Emitted as `BENCH_pr9.json` by `experiments workloads --json`.
-pub fn report_e28() -> Report {
-    report_e28_sized(5, 3)
-}
-
-/// [`report_e28`] shrunk for the CI smoke job: the first three ramp
-/// sizes per class, fewer reps.  Identical schema, so the golden
-/// schema-diff runs on this variant.
-pub fn report_e28_quick() -> Report {
-    report_e28_sized(3, 2)
-}
-
-fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
-    use sdp_core::knapsack_array::KnapsackItem;
-    use sdp_oracle::served;
-    use sdp_serve::engine::{self, EngineKind};
-    use sdp_serve::protocol::{Body, Class};
-    use std::time::Instant;
-
-    fn draw(seed: &mut u64, span: u64) -> u64 {
-        *seed ^= *seed << 13;
-        *seed ^= *seed >> 7;
-        *seed ^= *seed << 17;
-        *seed % span
-    }
-
-    // Work ramps spanning ~10²..10⁵ so both sides of the serve
-    // threshold (default 4096) appear in each class.
-    let align_body = |len: usize| -> Body {
-        let mut s = 0xE281u64 | 1;
-        Body::Align {
-            a: (0..len).map(|_| draw(&mut s, 4) as u8).collect(),
-            b: (0..len).map(|_| draw(&mut s, 4) as u8).collect(),
-            matched: 2,
-            mismatched: -1,
-            gap: 1,
-        }
-    };
-    let knapsack_body = |n: usize, capacity: u64| -> Body {
-        let mut s = 0xE282u64 | 1;
-        Body::Knapsack {
-            items: (0..n)
-                .map(|_| KnapsackItem::new(1 + draw(&mut s, 8), 1 + draw(&mut s, 100)))
-                .collect(),
-            capacity,
-        }
-    };
-    let ramps: Vec<Ramp> = vec![
         (
             "align",
             Class::Align,
@@ -2513,38 +2379,27 @@ fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
         ),
     ];
 
-    // The oracle's expected payload for a workload body — computed from
-    // the from-scratch reference solvers, no engine code on the path.
-    let oracle_payload = |body: &Body| -> String {
-        match body {
-            Body::Align {
-                a,
-                b,
-                matched,
-                mismatched,
-                gap,
-            } => served::served_align(a, b, *matched, *mismatched, *gap).render(),
-            Body::Knapsack { items, capacity } => {
-                let pairs: Vec<(u64, u64)> = items.iter().map(|it| (it.weight, it.value)).collect();
-                served::served_knapsack(&pairs, *capacity).render()
-            }
-            _ => unreachable!("workload ramp"),
-        }
-    };
-
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
     let mut report = Report::new(
-        "e28",
+        "e27",
         format!(
-            "E28 (DP workloads): alignment & knapsack request classes, sim vs\n\
-             direct wall time across a work ramp at the run_bucket_on dispatch\n\
-             seam, payloads proved identical to the oracle; x{reps} reps (host\n\
-             cores: {cores})"
+            "E27 (direct backends): cycle-accurate sim vs compiled direct solver,\n\
+             wall time per class across a work ramp at the run_bucket_on dispatch\n\
+             seam, payloads proved identical to each other and to the oracle;\n\
+             x{reps} reps (host cores: {cores})"
         ),
     );
-    report.headers = vec!["class", "size", "work", "sim ms", "direct ms", "speedup"];
+    report.headers = vec![
+        "class",
+        "size",
+        "work",
+        "sim ms",
+        "direct ms",
+        "speedup",
+        "oracle",
+    ];
 
     let timed_ms = |kind: EngineKind, class: Class, body: &Body| -> f64 {
         let bodies = std::slice::from_ref(body);
@@ -2561,20 +2416,31 @@ fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
         let mut crossover_work = Json::Null;
         let mut speedup_at_max = 0.0f64;
         for (desc, body) in sizes.iter().take(ramp_len) {
-            // Triple identity first — never time engines that disagree
-            // with each other or with the oracle.
-            let sim = engine::run_bucket_on(EngineKind::Sim, *class, std::slice::from_ref(body));
-            let direct =
-                engine::run_bucket_on(EngineKind::Direct, *class, std::slice::from_ref(body));
-            let want = oracle_payload(body);
-            let identical = match (&sim[0], &direct[0]) {
-                (Ok(s), Ok(d)) => s.render() == d.render() && s.render() == want,
-                _ => false,
+            // Identity first — never time engines that disagree with
+            // each other or with the oracle.
+            let bodies = std::slice::from_ref(body);
+            let sim = engine::run_bucket_on(EngineKind::Sim, *class, bodies);
+            let direct = engine::run_bucket_on(EngineKind::Direct, *class, bodies);
+            let (Ok(sim), Ok(direct)) = (&sim[0], &direct[0]) else {
+                panic!("E27 {label} {desc}: engine error");
             };
-            assert!(
-                identical,
-                "E28 {label} {desc}: sim, direct, and oracle payloads must agree"
+            let served = sim.render();
+            assert_eq!(
+                served,
+                direct.render(),
+                "E27 {label} {desc}: sim and direct payloads differ"
             );
+            let oracle_identical = match engine::oracle_payload(body) {
+                Some(want) => {
+                    assert_eq!(
+                        served,
+                        want.render(),
+                        "E27 {label} {desc}: served and oracle payloads differ"
+                    );
+                    Json::Bool(true)
+                }
+                None => Json::Null,
+            };
 
             let work = engine::body_work(body);
             let sim_ms = timed_ms(EngineKind::Sim, *class, body);
@@ -2591,6 +2457,7 @@ fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
                 format!("{sim_ms:.3}"),
                 format!("{direct_ms:.3}"),
                 format!("{speedup:.1}x"),
+                oracle_identical.render(),
             ]);
             rows.push(
                 Json::object()
@@ -2600,7 +2467,7 @@ fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
                     .with("direct_ms", direct_ms)
                     .with("speedup", speedup)
                     .with("payload_identical", true)
-                    .with("oracle_identical", true),
+                    .with("oracle_identical", oracle_identical),
             );
         }
         class_docs.push(
@@ -2613,13 +2480,21 @@ fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
     }
 
     report.notes = vec![
-        "payloads asserted bit-identical between sim, direct, and the oracle's\n\
-         served_* rendering before timing; ms and speedup columns are host\n\
-         wall-clock, size/work columns deterministic."
+        "payloads asserted bit-identical between sim and direct, and to the\n\
+         oracle's served_* rendering where engine::oracle_payload covers the\n\
+         class (oracle column; null = not covered: multistage and chain carry\n\
+         engine-side checks or fields), before timing; ms and speedup columns\n\
+         are host wall-clock, size/work columns deterministic."
             .into(),
         "crossover_work = smallest ramp work measure where the direct solver is\n\
          at least as fast as the simulator; the serve --direct-threshold default\n\
-         (4096) sits inside both ramps."
+         (4096) sits inside every class's ramp."
+            .into(),
+        "expected gap differs by sim fidelity: edit/align/matmul/knapsack/\n\
+         multistage1 serve from cycle-accurate PE arrays (order-of-magnitude\n\
+         interpretive overhead to strip), while multistage2 broadcast, chain,\n\
+         and BST serve paths already run flat DP loops, so direct wins only a\n\
+         constant factor there."
             .into(),
     ];
     report.metrics = Json::object()
@@ -2657,122 +2532,13 @@ pub fn report_all() -> Vec<Report> {
     ]
 }
 
-/// E1 rendered as terminal text.
-pub fn run_e1() -> String {
-    report_e1().render_text()
-}
-
-/// E2 rendered as terminal text.
-pub fn run_e2() -> String {
-    report_e2().render_text()
-}
-
-/// E3 rendered as terminal text.
-pub fn run_e3() -> String {
-    report_e3().render_text()
-}
-
-/// E4 rendered as terminal text.
-pub fn run_fig6() -> String {
-    report_fig6().render_text()
-}
-
-/// E5 rendered as terminal text.
-pub fn run_prop1() -> String {
-    report_prop1().render_text()
-}
-
-/// E6 rendered as terminal text.
-pub fn run_thm1() -> String {
-    report_thm1().render_text()
-}
-
-/// E7 rendered as terminal text.
-pub fn run_thm2() -> String {
-    report_thm2().render_text()
-}
-
-/// E8 rendered as terminal text.
-pub fn run_prop2() -> String {
-    report_prop2().render_text()
-}
-
-/// E9 rendered as terminal text.
-pub fn run_prop3() -> String {
-    report_prop3().render_text()
-}
-
-/// E10 rendered as terminal text.
-pub fn run_eq40() -> String {
-    report_eq40().render_text()
-}
-
-/// E11 rendered as terminal text.
-pub fn run_table1() -> String {
-    report_table1().render_text()
-}
-
-/// E12 rendered as terminal text.
-pub fn run_e12() -> String {
-    report_e12().render_text()
-}
-
-/// E13 rendered as terminal text.
-pub fn run_e13() -> String {
-    report_e13().render_text()
-}
-
-/// E14 rendered as terminal text.
-pub fn run_e14() -> String {
-    report_e14().render_text()
-}
-
-/// E15 rendered as terminal text.
-pub fn run_e15() -> String {
-    report_e15().render_text()
-}
-
-/// E16 rendered as terminal text.
-pub fn run_e16() -> String {
-    report_e16().render_text()
-}
-
-/// E17 rendered as terminal text.
-pub fn run_e17() -> String {
-    report_e17().render_text()
-}
-
-/// E18 rendered as terminal text.
-pub fn run_e18() -> String {
-    report_e18().render_text()
-}
-
-/// E19 rendered as terminal text.
-pub fn run_e19() -> String {
-    report_e19().render_text()
-}
-
-/// E20 rendered as terminal text.
-pub fn run_e20() -> String {
-    report_e20().render_text()
-}
-
-/// Runs every experiment in order, concatenating reports.
-pub fn run_all() -> String {
-    report_all()
-        .iter()
-        .map(Report::render_text)
-        .collect::<Vec<_>>()
-        .join("\n\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn e1_reports_matching_costs() {
-        let r = run_e1();
+        let r = report_e1().render_text();
         assert!(r.contains("Eq. 9"));
         // systolic and dp columns must agree: spot-check via absence of
         // mismatch markers is weak, so re-verify directly:
@@ -2785,20 +2551,20 @@ mod tests {
 
     #[test]
     fn fig6_report_contains_minimum() {
-        let r = run_fig6();
+        let r = report_fig6().render_text();
         assert!(r.contains("global KT^2 minimum"));
         assert!(r.contains("N/log2(N)"));
     }
 
     #[test]
     fn prop_reports_match_closed_forms() {
-        assert!(run_prop2().contains("cost ok"));
-        assert!(run_prop3().contains("2N"));
+        assert!(report_prop2().render_text().contains("cost ok"));
+        assert!(report_prop3().render_text().contains("2N"));
     }
 
     #[test]
     fn table1_lists_all_classes() {
-        let r = run_table1();
+        let r = report_table1().render_text();
         for c in [
             "monadic-serial",
             "polyadic-serial",
@@ -2811,7 +2577,7 @@ mod tests {
 
     #[test]
     fn eq40_oracle_ok() {
-        let r = run_eq40();
+        let r = report_eq40().render_text();
         assert!(!r.contains("false"), "an oracle check failed:\n{r}");
     }
 

@@ -1,9 +1,11 @@
 //! Experiment implementations shared by the `experiments` binary and the
 //! Criterion benches.
 //!
-//! Each `run_*` function regenerates one table/figure/claim of Wah & Li
-//! (1985) and returns its rows as plain data; [`text_table`] renders them
-//! for the terminal.  The experiment ids (E1…E12) match DESIGN.md.
+//! Each `report_*` function regenerates one table/figure/claim of Wah &
+//! Li (1985) as a [`Report`]: its rows as plain data plus a machine
+//! metrics document.  [`Report::render_text`] renders it for the
+//! terminal and [`reports_to_json`] for the JSON ledgers.  The
+//! experiment ids (E1…E27) match DESIGN.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,9 +5,10 @@
 //! (sim/direct ms, speedups, core counts, and the wall-clock-raced
 //! `crossover_work`) is redacted to `null` before the byte comparison.
 //! What stays byte-compared: the class list, the deterministic
-//! size/work ramp, and the per-row `payload_identical` verdicts — a
-//! drift here means the ramp instances or the sim/direct payload
-//! contract changed.  Regenerate after an intentional change with:
+//! size/work ramp, and the per-row `payload_identical` /
+//! `oracle_identical` verdicts — a drift here means the ramp instances
+//! or the sim/direct/oracle payload contract changed.  Regenerate after
+//! an intentional change with:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test -p sdp-bench --test backend_golden
@@ -36,8 +37,9 @@ fn every_class_proves_payload_identity_across_its_ramp() {
     // The acceptance gate for dispatch transparency, checked on the
     // quick variant: every (class, size) cell must have compared the
     // fully rendered sim and direct payloads byte-for-byte before any
-    // timing ran, and the work ramp must be strictly increasing so the
-    // crossover search scans a monotone axis.
+    // timing ran — and the oracle's too, for every class the oracle can
+    // stand in for — and the work ramp must be strictly increasing so
+    // the crossover search scans a monotone axis.
     let report = report_e27_quick();
     let Json::Object(fields) = &report.metrics else {
         panic!("metrics must be an object");
@@ -45,7 +47,7 @@ fn every_class_proves_payload_identity_across_its_ramp() {
     let Some((_, Json::Array(classes))) = fields.iter().find(|(k, _)| k == "classes") else {
         panic!("classes section missing");
     };
-    assert_eq!(classes.len(), 6, "all six dispatchable classes measured");
+    assert_eq!(classes.len(), 8, "all eight dispatchable classes measured");
     for class in classes {
         let Json::Object(c) = class else {
             panic!("class entry must be an object");
@@ -76,6 +78,20 @@ fn every_class_proves_payload_identity_across_its_ramp() {
             {
                 Some(Json::Bool(true)) => {}
                 other => panic!("{name}: payload_identical must be true, got {other:?}"),
+            }
+            // Multistage checks interior shapes engine-side and chain
+            // adds `steps`, so the oracle cannot stand in for them.
+            let oracle = r
+                .iter()
+                .find(|(k, _)| k == "oracle_identical")
+                .map(|(_, v)| v);
+            match (name.as_str(), oracle) {
+                ("multistage1" | "multistage2" | "chain", Some(Json::Null)) => {}
+                ("multistage1" | "multistage2" | "chain", other) => {
+                    panic!("{name}: oracle_identical must be null, got {other:?}")
+                }
+                (_, Some(Json::Bool(true))) => {}
+                (_, other) => panic!("{name}: oracle_identical must be true, got {other:?}"),
             }
         }
     }

@@ -115,7 +115,7 @@ pub fn redact_load_dependent(json: &mut Json) {
 /// wall-clock race, so `crossover_work` is nulled alongside the
 /// host-dependent timing fields.  What stays byte-compared: the class
 /// list, the deterministic size/work columns, and the per-row
-/// `payload_identical` verdicts.
+/// `payload_identical` / `oracle_identical` verdicts.
 pub fn redact_backend(json: &mut Json) {
     redact(json);
     fn walk(json: &mut Json) {

@@ -17,10 +17,14 @@
 //! Auto-dispatch: every bucket is sized by [`body_work`] and routed by
 //! [`choose`] — below the configured crossover it runs on the
 //! cycle-accurate simulators, at or beyond it on the `sdp-backend`
-//! direct solvers, which return bit-identical answers (proved by the
-//! `conformance_backend` suite), so the choice is invisible in the
-//! payload and visible only in the response's `engine` tag and the
-//! per-class metrics.
+//! direct solvers.  Each class has one bucket path: it unpacks its
+//! riders once, lets the [`EngineKind`] pick only the solver call (both
+//! return the same result type, bit-identical — proved by the
+//! `conformance_backend` suite), and renders the payload once.  So the
+//! choice is invisible in the payload and visible only in the
+//! response's `engine` tag and the per-class metrics.  The third
+//! payload source, [`oracle_payload`], is what an open breaker degrades
+//! to.
 
 use crate::protocol::{cost_to_json, matrix_to_json, Body, Class};
 use sdp_andor::chain::{try_matrix_chain_order, try_optimal_bst};
@@ -32,6 +36,7 @@ use sdp_core::edit_array::edit_distance_mesh_batch;
 use sdp_core::knapsack_array::{knapsack_array_batch, KnapsackItem};
 use sdp_core::matmul_array::MatmulArray;
 use sdp_fault::SdpError;
+use sdp_oracle::served;
 use sdp_semiring::{Matrix, MinPlus};
 use sdp_trace::json::Json;
 use sdp_trace::NullSink;
@@ -73,20 +78,6 @@ fn knapsack_json(best: u64, row: &[u64]) -> Json {
         "row",
         Json::Array(row.iter().map(|&v| Json::from(v)).collect()),
     )
-}
-
-/// The shared simple-scoring scheme of an align bucket (uniform by
-/// shape key).
-fn align_scoring(bodies: &[Body]) -> Scoring {
-    match bodies.first() {
-        Some(Body::Align {
-            matched,
-            mismatched,
-            gap,
-            ..
-        }) => Scoring::simple(*matched, *mismatched, *gap),
-        _ => unreachable!("bucket is single-class"),
-    }
 }
 
 /// Which execution backend answered a bucket: the cycle-accurate
@@ -146,47 +137,38 @@ pub fn choose(bodies: &[Body], direct_threshold: u64) -> EngineKind {
     }
 }
 
-/// Runs a bucket on the simulator, returning one result per request in
-/// bucket order.  A batch-level engine error (shape validation) is
+/// Runs a bucket on the chosen backend, returning one result per
+/// request in bucket order.  Direct and sim payloads are bit-identical,
+/// so riders cannot observe the dispatch except through the response's
+/// `engine` tag.  A batch-level engine error (shape validation) is
 /// reported to every rider of the bucket.
-pub fn run_bucket(class: Class, bodies: &[Body]) -> Vec<Result<Json, SdpError>> {
-    run_bucket_on(EngineKind::Sim, class, bodies)
-}
-
-/// Runs a bucket on the chosen backend.  Direct and sim payloads are
-/// bit-identical, so riders cannot observe the dispatch except through
-/// the response's `engine` tag.
 pub fn run_bucket_on(
     kind: EngineKind,
     class: Class,
     bodies: &[Body],
 ) -> Vec<Result<Json, SdpError>> {
-    let results = match kind {
-        EngineKind::Sim => run_bucket_inner(class, bodies),
-        EngineKind::Direct => run_bucket_direct_inner(class, bodies),
-    };
-    match results {
+    match run_class(kind, class, bodies) {
         Ok(results) => results,
         Err(e) => bodies.iter().map(|_| Err(e.clone())).collect(),
     }
 }
 
+/// The one bucket path per class: unpack the riders, let `kind` pick
+/// the solver call, render the payload.
 #[allow(clippy::type_complexity)]
-fn run_bucket_inner(
+fn run_class(
+    kind: EngineKind,
     class: Class,
     bodies: &[Body],
 ) -> Result<Vec<Result<Json, SdpError>>, SdpError> {
     match class {
         Class::Multistage1 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let array = Design1Array::try_new(string_m(strings[0]))?;
-            let batch = array.run_batch(&strings, &mut NullSink)?;
+            let strings = matrix_strings(bodies);
+            let m = string_m(strings[0]);
+            let batch = match kind {
+                EngineKind::Sim => Design1Array::try_new(m)?.run_batch(&strings, &mut NullSink)?,
+                EngineKind::Direct => sdp_backend::design1_direct_batch(m, &strings)?,
+            };
             Ok(batch
                 .values
                 .iter()
@@ -194,15 +176,12 @@ fn run_bucket_inner(
                 .collect())
         }
         Class::Multistage2 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let array = Design2Array::try_new(string_m(strings[0]))?;
-            let batch = array.run_batch(&strings, &mut NullSink)?;
+            let strings = matrix_strings(bodies);
+            let m = string_m(strings[0]);
+            let batch = match kind {
+                EngineKind::Sim => Design2Array::try_new(m)?.run_batch(&strings, &mut NullSink)?,
+                EngineKind::Direct => sdp_backend::design2_direct_batch(m, &strings)?,
+            };
             Ok(batch
                 .values
                 .iter()
@@ -224,7 +203,10 @@ fn run_bucket_inner(
                     _ => unreachable!("bucket is single-class"),
                 })
                 .collect();
-            let batch = MatmulArray::multiply_batch(&pairs, &mut NullSink)?;
+            let batch = match kind {
+                EngineKind::Sim => MatmulArray::multiply_batch(&pairs, &mut NullSink)?,
+                EngineKind::Direct => sdp_backend::matmul_direct_batch(&pairs)?,
+            };
             Ok(batch
                 .products
                 .iter()
@@ -232,14 +214,11 @@ fn run_bucket_inner(
                 .collect())
         }
         Class::Edit => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Edit { a, b } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = edit_distance_mesh_batch(&pairs, &mut NullSink)?;
+            let pairs = string_pairs(bodies);
+            let batch = match kind {
+                EngineKind::Sim => edit_distance_mesh_batch(&pairs, &mut NullSink)?,
+                EngineKind::Direct => sdp_backend::edit_direct_batch(&pairs)?,
+            };
             Ok(batch
                 .distances
                 .iter()
@@ -250,12 +229,21 @@ fn run_bucket_inner(
             .iter()
             .map(|b| match b {
                 Body::Chain { dims } => {
-                    let sol = try_matrix_chain_order(dims)?;
-                    let sim = simulate_chain_array(dims, ChainMapping::Broadcast);
-                    debug_assert_eq!(sim.cost, sol.cost, "array vs DP");
+                    let (cost, steps) = match kind {
+                        EngineKind::Sim => {
+                            let sol = try_matrix_chain_order(dims)?;
+                            let sim = simulate_chain_array(dims, ChainMapping::Broadcast);
+                            debug_assert_eq!(sim.cost, sol.cost, "array vs DP");
+                            (sim.cost, sim.finish)
+                        }
+                        EngineKind::Direct => (
+                            sdp_backend::chain_direct(dims)?.cost,
+                            sdp_backend::chain_steps(dims.len() - 1),
+                        ),
+                    };
                     Ok(Json::object()
-                        .with("cost", cost_to_json(sim.cost))
-                        .with("steps", sim.finish))
+                        .with("cost", cost_to_json(cost))
+                        .with("steps", steps))
                 }
                 _ => unreachable!("bucket is single-class"),
             })
@@ -264,12 +252,17 @@ fn run_bucket_inner(
             .iter()
             .map(|b| match b {
                 Body::Bst { freq } => {
-                    let sol = try_optimal_bst(freq)?;
+                    let sol = match kind {
+                        EngineKind::Sim => try_optimal_bst(freq)?,
+                        EngineKind::Direct => sdp_backend::bst_direct(freq)?,
+                    };
                     Ok(Json::object().with("cost", cost_to_json(sol.cost)))
                 }
                 _ => unreachable!("bucket is single-class"),
             })
             .collect()),
+        // AND/OR evaluation is already a direct graph walk, so both
+        // kinds run the same evaluator.
         Class::AndOr => Ok(bodies
             .iter()
             .map(|b| match b {
@@ -280,14 +273,12 @@ fn run_bucket_inner(
             })
             .collect()),
         Class::Align => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Align { a, b, .. } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sw_mesh_batch(&pairs, None, &align_scoring(bodies), &mut NullSink)?;
+            let pairs = string_pairs(bodies);
+            let scoring = align_scoring(bodies);
+            let batch = match kind {
+                EngineKind::Sim => sw_mesh_batch(&pairs, None, &scoring, &mut NullSink)?,
+                EngineKind::Direct => sdp_backend::sw_direct_batch(&pairs, None, &scoring)?,
+            };
             Ok(batch
                 .scores
                 .iter()
@@ -297,7 +288,10 @@ fn run_bucket_inner(
         }
         Class::Knapsack => {
             let (items, capacity) = knapsack_bucket(bodies);
-            let batch = knapsack_array_batch(&items, capacity, &mut NullSink)?;
+            let batch = match kind {
+                EngineKind::Sim => knapsack_array_batch(&items, capacity, &mut NullSink)?,
+                EngineKind::Direct => sdp_backend::knapsack_direct_batch(&items, capacity)?,
+            };
             Ok(batch
                 .bests
                 .iter()
@@ -308,132 +302,39 @@ fn run_bucket_inner(
     }
 }
 
-/// The direct-solver mirror of [`run_bucket_inner`]: same payload
-/// construction, same typed errors, answers from `sdp-backend`.
-#[allow(clippy::type_complexity)]
-fn run_bucket_direct_inner(
-    class: Class,
-    bodies: &[Body],
-) -> Result<Vec<Result<Json, SdpError>>, SdpError> {
-    match class {
-        Class::Multistage1 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::design1_direct_batch(string_m(strings[0]), &strings)?;
-            Ok(batch
-                .values
-                .iter()
-                .map(|vals| Ok(values_json(vals)))
-                .collect())
-        }
-        Class::Multistage2 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::design2_direct_batch(string_m(strings[0]), &strings)?;
-            Ok(batch
-                .values
-                .iter()
-                .zip(&batch.paths)
-                .map(|(vals, path)| {
-                    let path_json = match path {
-                        Some(p) => Json::Array(p.iter().map(|&v| Json::from(v)).collect()),
-                        None => Json::Null,
-                    };
-                    Ok(values_json(vals).with("path", path_json))
-                })
-                .collect())
-        }
-        Class::Matmul => {
-            let pairs: Vec<(Matrix<MinPlus>, Matrix<MinPlus>)> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Matmul { a, b } => (a.clone(), b.clone()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::matmul_direct_batch(&pairs)?;
-            Ok(batch
-                .products
-                .iter()
-                .map(|p| Ok(Json::object().with("product", matrix_to_json(p))))
-                .collect())
-        }
-        Class::Edit => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Edit { a, b } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::edit_direct_batch(&pairs)?;
-            Ok(batch
-                .distances
-                .iter()
-                .map(|&d| Ok(Json::object().with("distance", d)))
-                .collect())
-        }
-        Class::Chain => Ok(bodies
-            .iter()
-            .map(|b| match b {
-                Body::Chain { dims } => {
-                    let sol = sdp_backend::chain_direct(dims)?;
-                    Ok(Json::object()
-                        .with("cost", cost_to_json(sol.cost))
-                        .with("steps", sdp_backend::chain_steps(dims.len() - 1)))
-                }
-                _ => unreachable!("bucket is single-class"),
-            })
-            .collect()),
-        Class::Bst => Ok(bodies
-            .iter()
-            .map(|b| match b {
-                Body::Bst { freq } => {
-                    let sol = sdp_backend::bst_direct(freq)?;
-                    Ok(Json::object().with("cost", cost_to_json(sol.cost)))
-                }
-                _ => unreachable!("bucket is single-class"),
-            })
-            .collect()),
-        // AND/OR evaluation is already a direct graph walk; `choose`
-        // never dispatches it here.
-        Class::AndOr => run_bucket_inner(class, bodies),
-        Class::Align => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Align { a, b, .. } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::sw_direct_batch(&pairs, None, &align_scoring(bodies))?;
-            Ok(batch
-                .scores
-                .iter()
-                .zip(&batch.ends)
-                .map(|(&score, &end)| Ok(align_json(score, end)))
-                .collect())
-        }
-        Class::Knapsack => {
-            let (items, capacity) = knapsack_bucket(bodies);
-            let batch = sdp_backend::knapsack_direct_batch(&items, capacity)?;
-            Ok(batch
-                .bests
-                .iter()
-                .zip(&batch.per_capacity)
-                .map(|(&best, row)| Ok(knapsack_json(best, row)))
-                .collect())
-        }
+/// The matrix strings of a multistage bucket (Design 1 or 2).
+fn matrix_strings(bodies: &[Body]) -> Vec<&[Matrix<MinPlus>]> {
+    bodies
+        .iter()
+        .map(|b| match b {
+            Body::Multistage { mats, .. } => mats.as_slice(),
+            _ => unreachable!("bucket is single-class"),
+        })
+        .collect()
+}
+
+/// The operand pairs of an edit or align bucket.
+fn string_pairs(bodies: &[Body]) -> Vec<(&[u8], &[u8])> {
+    bodies
+        .iter()
+        .map(|b| match b {
+            Body::Edit { a, b } | Body::Align { a, b, .. } => (a.as_slice(), b.as_slice()),
+            _ => unreachable!("bucket is single-class"),
+        })
+        .collect()
+}
+
+/// The shared simple-scoring scheme of an align bucket (uniform by
+/// shape key).
+fn align_scoring(bodies: &[Body]) -> Scoring {
+    match bodies.first() {
+        Some(Body::Align {
+            matched,
+            mismatched,
+            gap,
+            ..
+        }) => Scoring::simple(*matched, *mismatched, *gap),
+        _ => unreachable!("bucket is single-class"),
     }
 }
 
@@ -452,6 +353,33 @@ fn knapsack_bucket(bodies: &[Body]) -> (Vec<&[KnapsackItem]>, u64) {
         })
         .collect();
     (items, capacity)
+}
+
+/// The reference payload for one request, from the `sdp-oracle`
+/// from-scratch solvers with no engine code on the path: what an open
+/// breaker degrades to, and the third source E27 checks sim and direct
+/// against.  `None` where the oracle cannot stand in bit-identically:
+/// `Chain` (the engine adds a `steps` field) and `Multistage` (interior
+/// shape checks are engine-side).
+pub fn oracle_payload(body: &Body) -> Option<Json> {
+    match body {
+        Body::Matmul { a, b } => Some(served::served_matmul(a, b)),
+        Body::Edit { a, b } => Some(served::served_edit(a, b)),
+        Body::Bst { freq } => Some(served::served_bst(freq)),
+        Body::AndOr { graph, root } => Some(served::served_andor(graph, *root)),
+        Body::Align {
+            a,
+            b,
+            matched,
+            mismatched,
+            gap,
+        } => Some(served::served_align(a, b, *matched, *mismatched, *gap)),
+        Body::Knapsack { items, capacity } => {
+            let pairs: Vec<(u64, u64)> = items.iter().map(|it| (it.weight, it.value)).collect();
+            Some(served::served_knapsack(&pairs, *capacity))
+        }
+        Body::Chain { .. } | Body::Multistage { .. } => None,
+    }
 }
 
 #[cfg(test)]
@@ -478,9 +406,9 @@ mod tests {
             b("mitten", "fitting"),
             b("kitten", "kitting"),
         ];
-        let batched = run_bucket(Class::Edit, &bucket);
+        let batched = run_bucket_on(EngineKind::Sim, Class::Edit, &bucket);
         for (i, body) in bucket.iter().enumerate() {
-            let single = run_bucket(Class::Edit, std::slice::from_ref(body));
+            let single = run_bucket_on(EngineKind::Sim, Class::Edit, std::slice::from_ref(body));
             assert_eq!(batched[i], single[0], "instance {i}");
         }
     }
@@ -494,9 +422,9 @@ mod tests {
                 design: if design == Class::Multistage1 { 1 } else { 2 },
                 mats: mats.clone(),
             };
-            let batched = run_bucket(design, &[mk(&s1), mk(&s2)]);
-            let a = run_bucket(design, &[mk(&s1)]);
-            let b = run_bucket(design, &[mk(&s2)]);
+            let batched = run_bucket_on(EngineKind::Sim, design, &[mk(&s1), mk(&s2)]);
+            let a = run_bucket_on(EngineKind::Sim, design, &[mk(&s1)]);
+            let b = run_bucket_on(EngineKind::Sim, design, &[mk(&s2)]);
             assert_eq!(batched[0], a[0]);
             assert_eq!(batched[1], b[0]);
         }
@@ -513,11 +441,18 @@ mod tests {
             b: b"cd".to_vec(),
         };
         // A mixed-shape bucket can only arise through a coalescing bug;
-        // the engine still must fail typed, for every rider.
-        let out = run_bucket(Class::Edit, &[b1, b2]);
-        assert_eq!(out.len(), 2);
-        for r in out {
-            assert_eq!(r, Err(SdpError::BatchShapeMismatch { index: 1 }));
+        // the engine still must fail typed, for every rider, on both
+        // backends.
+        for kind in [EngineKind::Sim, EngineKind::Direct] {
+            let out = run_bucket_on(kind, Class::Edit, &[b1.clone(), b2.clone()]);
+            assert_eq!(out.len(), 2);
+            for r in out {
+                assert_eq!(
+                    r,
+                    Err(SdpError::BatchShapeMismatch { index: 1 }),
+                    "{kind:?}"
+                );
+            }
         }
     }
 
@@ -613,7 +548,17 @@ mod tests {
             let sim = run_bucket_on(EngineKind::Sim, class, &bodies);
             let direct = run_bucket_on(EngineKind::Direct, class, &bodies);
             assert_eq!(sim, direct, "{class:?} direct payload diverged from sim");
+            // Where the oracle can stand in, it renders the same bytes.
+            for (body, served) in bodies.iter().zip(&sim) {
+                if let Some(want) = oracle_payload(body) {
+                    let got = served.as_ref().expect("payload").render();
+                    assert_eq!(got, want.render(), "{class:?} oracle payload diverged");
+                }
+            }
         }
+        // Chain carries engine-side `steps`, multistage engine-side
+        // shape checks: the oracle cannot stand in for either.
+        assert!(oracle_payload(&Body::Chain { dims: vec![2, 3] }).is_none());
         // Typed errors take the same shape on both paths.
         let bad = vec![Body::Chain { dims: vec![7] }];
         assert_eq!(
@@ -664,9 +609,9 @@ mod tests {
             align(b"acacacta", b"agcacaca"),
             align(b"aaaaaaaa", b"tttttttt"),
         ];
-        let batched = run_bucket(Class::Align, &bucket);
+        let batched = run_bucket_on(EngineKind::Sim, Class::Align, &bucket);
         for (i, body) in bucket.iter().enumerate() {
-            let single = run_bucket(Class::Align, std::slice::from_ref(body));
+            let single = run_bucket_on(EngineKind::Sim, Class::Align, std::slice::from_ref(body));
             assert_eq!(batched[i], single[0], "align instance {i}");
         }
         assert_eq!(
@@ -686,9 +631,10 @@ mod tests {
             capacity: 7,
         };
         let bucket = vec![sack(&[(1, 1), (3, 4), (4, 5), (5, 7)]), sack(&[(2, 3)])];
-        let batched = run_bucket(Class::Knapsack, &bucket);
+        let batched = run_bucket_on(EngineKind::Sim, Class::Knapsack, &bucket);
         for (i, body) in bucket.iter().enumerate() {
-            let single = run_bucket(Class::Knapsack, std::slice::from_ref(body));
+            let single =
+                run_bucket_on(EngineKind::Sim, Class::Knapsack, std::slice::from_ref(body));
             assert_eq!(batched[i], single[0], "knapsack instance {i}");
         }
         assert_eq!(
@@ -699,7 +645,8 @@ mod tests {
 
     #[test]
     fn chain_and_bst_and_andor_run_singly() {
-        let out = run_bucket(
+        let out = run_bucket_on(
+            EngineKind::Sim,
             Class::Chain,
             &[Body::Chain {
                 dims: vec![10, 20, 50, 1],
@@ -707,7 +654,8 @@ mod tests {
         );
         let payload = out[0].as_ref().unwrap().render();
         assert!(payload.contains("\"cost\":"));
-        let out = run_bucket(
+        let out = run_bucket_on(
+            EngineKind::Sim,
             Class::Bst,
             &[Body::Bst {
                 freq: vec![3, 1, 4],
@@ -718,7 +666,11 @@ mod tests {
         let l1 = g.add_leaf(0, Cost::new(2));
         let l2 = g.add_leaf(0, Cost::new(5));
         let a = g.add_and(1, vec![l1, l2], Cost::new(1));
-        let out = run_bucket(Class::AndOr, &[Body::AndOr { graph: g, root: a }]);
+        let out = run_bucket_on(
+            EngineKind::Sim,
+            Class::AndOr,
+            &[Body::AndOr { graph: g, root: a }],
+        );
         assert_eq!(out[0].as_ref().unwrap().render(), r#"{"value":8}"#);
     }
 }

@@ -19,7 +19,8 @@
 //! - [`protocol`]: request decoding, canonical keys, response envelopes
 //! - [`queue`]: admission control, load shedding, and batch coalescing
 //! - [`breaker`]: per-engine-class circuit breaker
-//! - [`engine`]: per-class dispatch onto the systolic engines
+//! - [`engine`]: one bucket path per class onto the simulators or the
+//!   direct solvers, plus the oracle payload an open breaker degrades to
 //! - [`cache`]: exact-key LRU result cache
 //! - [`metrics`]: lock-free telemetry (counters, histograms, spans)
 //!   over the `sdp-metrics` registry, with JSON and Prometheus exporters
@@ -122,13 +123,16 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Config {
+        // The queue knobs have one source: servebench's replay builds
+        // its queue from `QueueConfig::default()` to mirror the server.
+        let queue = queue::QueueConfig::default();
         Config {
             addr: "127.0.0.1:0".to_string(),
-            max_queue: 1024,
-            shed_queue: 768,
-            max_batch: 16,
-            max_delay: Duration::from_millis(5),
-            drain_tick: Duration::from_micros(500),
+            max_queue: queue.max_queue,
+            shed_queue: queue.shed_queue,
+            max_batch: queue.max_batch,
+            max_delay: queue.max_delay,
+            drain_tick: queue.drain_tick,
             event_workers: 2,
             cache_capacity: 256,
             workers: 4,

@@ -269,12 +269,6 @@ impl Body {
         out
     }
 
-    /// FNV-1a hash of the canonical key — used for shape-independent
-    /// telemetry and as the coalescing bucket discriminator's mix-in.
-    pub fn canonical_hash(&self) -> u64 {
-        fnv1a(&self.canonical_key())
-    }
-
     /// The *shape* discriminator for batch coalescing: requests sharing
     /// a class and shape key can ride the same `run_batch` dispatch
     /// (the batched engines require uniform shapes).  Classes without a
@@ -788,7 +782,6 @@ mod tests {
             panic!("compute");
         };
         assert_eq!(ba.canonical_key(), bb.canonical_key());
-        assert_eq!(ba.canonical_hash(), bb.canonical_hash());
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::cache::LruCache;
-use crate::engine::{self};
+use crate::engine;
 use crate::evloop::{poll_fds, wake_pipe, PollFd, WakeHandle, WakePipe, POLLIN, POLLOUT};
 use crate::metrics::{Metrics, PHASES};
 use crate::protocol::{self, Body, Class, Request, CLASSES};
@@ -188,12 +188,6 @@ impl ServerHandle {
         for h in self.dispatchers.drain(..) {
             let _ = h.join();
         }
-    }
-
-    /// Blocks until a client-initiated `shutdown` request drains the
-    /// server, then joins the threads (the `sdp-serve` binary's main).
-    pub fn shutdown_on_request(mut self) {
-        self.wait();
     }
 
     /// Stops admitting requests, flushes every queued bucket, waits for
@@ -977,32 +971,6 @@ fn deliver_completion(conn: &mut Conn, resp: JobResponse, shared: &Shared) {
     conn.idle_deadline = Instant::now() + shared.cfg.idle_timeout;
 }
 
-/// The oracle fallback an open breaker degrades to, for classes whose
-/// served payload is bit-identical to the engine's.  `Chain` is out
-/// (the engine adds a `steps` field) and `Multistage` is out (interior
-/// shape checks are engine-side), so those fast-reject instead.
-fn fallback_payload(body: &Body) -> Option<Json> {
-    use sdp_oracle::served;
-    match body {
-        Body::Matmul { a, b } => Some(served::served_matmul(a, b)),
-        Body::Edit { a, b } => Some(served::served_edit(a, b)),
-        Body::Bst { freq } => Some(served::served_bst(freq)),
-        Body::AndOr { graph, root } => Some(served::served_andor(graph, *root)),
-        Body::Align {
-            a,
-            b,
-            matched,
-            mismatched,
-            gap,
-        } => Some(served::served_align(a, b, *matched, *mismatched, *gap)),
-        Body::Knapsack { items, capacity } => {
-            let pairs: Vec<(u64, u64)> = items.iter().map(|it| (it.weight, it.value)).collect();
-            Some(served::served_knapsack(&pairs, *capacity))
-        }
-        Body::Chain { .. } | Body::Multistage { .. } => None,
-    }
-}
-
 /// The compute admission path.  Returns `Some(reply)` for an inline
 /// answer (cache hit, degraded fallback, typed rejection), `None` once
 /// the job is in flight and its reply will arrive as a [`Completion`].
@@ -1031,7 +999,7 @@ fn handle_compute(
         // reference solver instead of going dark; everything else
         // fast-rejects with the remaining cooldown as a retry hint.
         if key.len() <= shared.cfg.breaker_fallback_max_bytes {
-            if let Some(payload) = fallback_payload(&body) {
+            if let Some(payload) = engine::oracle_payload(&body) {
                 shared.metrics.degraded(class);
                 return Some(protocol::degraded_response(id, payload));
             }

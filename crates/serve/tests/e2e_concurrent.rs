@@ -12,7 +12,7 @@
 use sdp_fault::SdpError;
 use sdp_oracle::served;
 use sdp_serve::client::{self, Client};
-use sdp_serve::engine::run_bucket;
+use sdp_serve::engine::{run_bucket_on, EngineKind};
 use sdp_serve::protocol::Body;
 use sdp_serve::{json, Config};
 use sdp_systolic::scheduler::{DagScheduler, DagTask};
@@ -130,7 +130,7 @@ fn direct_payload(slot: usize) -> String {
         }
     };
     let class = body.class();
-    run_bucket(class, &[body])[0]
+    run_bucket_on(EngineKind::Sim, class, &[body])[0]
         .as_ref()
         .expect("direct engine call succeeds")
         .render()

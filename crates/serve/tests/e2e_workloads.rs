@@ -12,7 +12,7 @@ use sdp_fault::{ChaosEvent, ChaosPlan, ServeChaos};
 use sdp_oracle::served;
 use sdp_par::watchdog;
 use sdp_serve::client::{self, Client};
-use sdp_serve::engine::run_bucket;
+use sdp_serve::engine::{run_bucket_on, EngineKind};
 use sdp_serve::protocol::Class;
 use sdp_serve::{breaker, json, Config};
 use std::sync::{Arc, Mutex};
@@ -63,7 +63,7 @@ fn engine_payload(slot: usize) -> String {
         unreachable!("compute line");
     };
     let class = body.class();
-    run_bucket(class, &[body])[0]
+    run_bucket_on(EngineKind::Sim, class, &[body])[0]
         .as_ref()
         .expect("engine call succeeds")
         .render()

@@ -12,6 +12,14 @@ use sdp_serve::{breaker, json, Config};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The server's admission-queue depth, from a `metrics` control request.
+fn queue_depth(c: &mut Client) -> i64 {
+    let doc = c.metrics().expect("metrics").result.expect("payload");
+    json::get(&doc, "queue_depth")
+        .and_then(json::as_i64)
+        .expect("queue_depth")
+}
+
 #[test]
 fn zero_deadline_expires_typed_while_generous_deadline_succeeds() {
     watchdog("deadline", Duration::from_secs(30), || {
@@ -68,7 +76,13 @@ fn shed_requests_carry_retry_hints_and_the_retry_policy_recovers() {
             .send_raw(&client::edit_request(1, "queue", "pinner"))
             .expect("pin the queue");
 
+        // The two connections land on different event-loop workers, so
+        // nothing orders the pinner's line before the shed request:
+        // wait until the pinner is admitted (the watchdog bounds it).
         let mut shed = Client::connect(addr).expect("connect");
+        while queue_depth(&mut shed) != 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let line = client::edit_request(2, "shed", "me");
         let resp = shed.call_raw(&line).expect("call");
         assert!(!resp.ok);
