@@ -1,15 +1,19 @@
 //! CI smoke client: boots a server in-process, fires concurrent
 //! mixed-class traffic at it over real sockets, and checks the serving
 //! invariants end to end — every request answered, repeats hit the
-//! cache, at least one batch coalesced, malformed input gets a typed
-//! error, and the drain is graceful.  Exits nonzero on any violation.
+//! cache, one pipelining connection answered in order and coalesced,
+//! malformed input gets a typed error, and the drain is graceful.
+//! Exits nonzero on any violation.
 
+use sdp_oracle::served;
 use sdp_serve::client::{self, Client};
 use sdp_serve::{json, Config};
 use std::time::Duration;
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 12;
+/// Lines the pipelined phase writes before reading any reply.
+const PIPELINED: usize = 32;
 
 fn client_worker(addr: std::net::SocketAddr, seed: usize) -> Result<(usize, usize), String> {
     let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
@@ -37,6 +41,39 @@ fn client_worker(addr: std::net::SocketAddr, seed: usize) -> Result<(usize, usiz
         }
     }
     Ok((ok, cached))
+}
+
+/// One connection writes `PIPELINED` distinct same-shape edits before
+/// reading: every reply must come back in line order with the oracle's
+/// payload.
+fn pipelined_phase(addr: std::net::SocketAddr) -> Result<(), String> {
+    let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let problems: Vec<(String, String)> = (0..PIPELINED)
+        .map(|i| (format!("p{i:03}"), format!("s{:03}", 999 - i)))
+        .collect();
+    let lines: Vec<String> = problems
+        .iter()
+        .enumerate()
+        .map(|(i, (a, b))| client::edit_request(1000 + i as i64, a, b))
+        .collect();
+    c.send_raw(&lines.join("\n"))
+        .map_err(|e| format!("pipelined send: {e}"))?;
+    for (i, (a, b)) in problems.iter().enumerate() {
+        let id = 1000 + i as i64;
+        let resp = c.read_response().map_err(|e| format!("read: {e}"))?;
+        if resp.id != id {
+            return Err(format!(
+                "pipelined reply out of order: want {id}, got {}",
+                resp.id
+            ));
+        }
+        let want = served::served_edit(a.as_bytes(), b.as_bytes()).render();
+        let got = resp.result.map(|p| p.render());
+        if got.as_deref() != Some(want.as_str()) {
+            return Err(format!("pipelined request {id}: {got:?}, oracle {want}"));
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -73,6 +110,13 @@ fn main() {
     );
     assert!(total_cached > 0, "repeat problems should hit the cache");
 
+    if let Err(e) = pipelined_phase(addr) {
+        eprintln!("serve_smoke: FAIL: {e}");
+        std::process::exit(1);
+    }
+    let max_batch = handle.max_coalesced();
+    assert!(max_batch > 1, "the pipelined window never coalesced");
+
     // Protocol hardening: malformed input gets a typed error on a
     // connection that stays usable.
     let mut c = Client::connect(addr).expect("connect");
@@ -94,10 +138,9 @@ fn main() {
     let hits = json::get(cache, "hits").and_then(json::as_i64).unwrap_or(0);
     assert!(hits > 0, "cache hits recorded");
 
-    let max_batch = handle.max_coalesced();
-    assert!(max_batch >= 1, "at least one dispatch");
     println!(
-        "serve_smoke: OK — {total_ok} requests, {total_cached} cache hits, max batch {max_batch}"
+        "serve_smoke: OK — {total_ok} requests, {total_cached} cache hits, \
+         {PIPELINED} pipelined in order, max batch {max_batch}"
     );
     handle.shutdown();
 }

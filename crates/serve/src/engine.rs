@@ -274,7 +274,7 @@ fn run_class(
             .collect()),
         Class::Align => {
             let pairs = string_pairs(bodies);
-            let scoring = align_scoring(bodies);
+            let scoring = align_scoring(bodies)?;
             let batch = match kind {
                 EngineKind::Sim => sw_mesh_batch(&pairs, None, &scoring, &mut NullSink)?,
                 EngineKind::Direct => sdp_backend::sw_direct_batch(&pairs, None, &scoring)?,
@@ -287,7 +287,7 @@ fn run_class(
                 .collect())
         }
         Class::Knapsack => {
-            let (items, capacity) = knapsack_bucket(bodies);
+            let (items, capacity) = knapsack_bucket(bodies)?;
             let batch = match kind {
                 EngineKind::Sim => knapsack_array_batch(&items, capacity, &mut NullSink)?,
                 EngineKind::Direct => sdp_backend::knapsack_direct_batch(&items, capacity)?,
@@ -324,27 +324,40 @@ fn string_pairs(bodies: &[Body]) -> Vec<(&[u8], &[u8])> {
         .collect()
 }
 
-/// The shared simple-scoring scheme of an align bucket (uniform by
-/// shape key).
-fn align_scoring(bodies: &[Body]) -> Scoring {
-    match bodies.first() {
-        Some(Body::Align {
+/// The value `key` takes on every rider of a bucket.  Buckets are keyed
+/// by a *hash* of the shape, so a collision could mix riders; the first
+/// one that differs from rider 0 fails the bucket typed, as the batch
+/// engines do for mismatched lengths, instead of being answered under
+/// rider 0's parameters.
+fn uniform<T: PartialEq>(bodies: &[Body], key: impl Fn(&Body) -> T) -> Result<T, SdpError> {
+    let first = key(bodies.first().ok_or(SdpError::EmptyBatch)?);
+    match bodies.iter().position(|b| key(b) != first) {
+        Some(index) => Err(SdpError::BatchShapeMismatch { index }),
+        None => Ok(first),
+    }
+}
+
+/// The shared simple-scoring scheme of an align bucket.
+fn align_scoring(bodies: &[Body]) -> Result<Scoring, SdpError> {
+    let (matched, mismatched, gap) = uniform(bodies, |b| match b {
+        Body::Align {
             matched,
             mismatched,
             gap,
             ..
-        }) => Scoring::simple(*matched, *mismatched, *gap),
+        } => (*matched, *mismatched, *gap),
         _ => unreachable!("bucket is single-class"),
-    }
+    })?;
+    Ok(Scoring::simple(matched, mismatched, gap))
 }
 
-/// Splits a knapsack bucket into the batch engine's argument shape (the
-/// capacity is uniform by shape key).
-fn knapsack_bucket(bodies: &[Body]) -> (Vec<&[KnapsackItem]>, u64) {
-    let capacity = match bodies.first() {
-        Some(Body::Knapsack { capacity, .. }) => *capacity,
+/// Splits a knapsack bucket into the batch engine's argument shape: the
+/// item lists and their shared capacity.
+fn knapsack_bucket(bodies: &[Body]) -> Result<(Vec<&[KnapsackItem]>, u64), SdpError> {
+    let capacity = uniform(bodies, |b| match b {
+        Body::Knapsack { capacity, .. } => *capacity,
         _ => unreachable!("bucket is single-class"),
-    };
+    })?;
     let items = bodies
         .iter()
         .map(|b| match b {
@@ -352,7 +365,7 @@ fn knapsack_bucket(bodies: &[Body]) -> (Vec<&[KnapsackItem]>, u64) {
             _ => unreachable!("bucket is single-class"),
         })
         .collect();
-    (items, capacity)
+    Ok((items, capacity))
 }
 
 /// The reference payload for one request, from the `sdp-oracle`
@@ -440,18 +453,38 @@ mod tests {
             a: b"abc".to_vec(),
             b: b"cd".to_vec(),
         };
-        // A mixed-shape bucket can only arise through a coalescing bug;
-        // the engine still must fail typed, for every rider, on both
-        // backends.
-        for kind in [EngineKind::Sim, EngineKind::Direct] {
-            let out = run_bucket_on(kind, Class::Edit, &[b1.clone(), b2.clone()]);
-            assert_eq!(out.len(), 2);
-            for r in out {
-                assert_eq!(
-                    r,
-                    Err(SdpError::BatchShapeMismatch { index: 1 }),
-                    "{kind:?}"
-                );
+        let align = |matched| Body::Align {
+            a: b"acacacta".to_vec(),
+            b: b"agcacaca".to_vec(),
+            matched,
+            mismatched: -1,
+            gap: 1,
+        };
+        let knapsack = |capacity| Body::Knapsack {
+            items: vec![KnapsackItem::new(2, 3)],
+            capacity,
+        };
+        let buckets = [
+            (Class::Edit, vec![b1, b2]),
+            (Class::Align, vec![align(2), align(3), align(2)]),
+            (Class::Knapsack, vec![knapsack(7), knapsack(8)]),
+        ];
+        // Mixed lengths can only share a bucket through a coalescing
+        // bug, mixed scoring or capacity only through a shape-key hash
+        // collision.  Either way the engine must fail typed, for every
+        // rider, on both backends — never answer under rider 0's
+        // parameters.
+        for (class, bodies) in &buckets {
+            for kind in [EngineKind::Sim, EngineKind::Direct] {
+                let out = run_bucket_on(kind, *class, bodies);
+                assert_eq!(out.len(), bodies.len());
+                for r in out {
+                    assert_eq!(
+                        r,
+                        Err(SdpError::BatchShapeMismatch { index: 1 }),
+                        "{class:?} {kind:?}"
+                    );
+                }
             }
         }
     }

@@ -5,12 +5,16 @@
 //! them into a long-running service.  Clients connect over TCP and send
 //! newline-delimited JSON requests for any engine family — multistage
 //! graphs on Designs 1/2, min-plus matrix products, edit distance,
-//! matrix-chain/optimal-BST, AND/OR graph evaluation.  The server
-//! coalesces same-shape requests into batches for the PR 3 pipelined
-//! entry points (the serving-side use of the paper's §6 observation
-//! that independent instances pipeline through one array), caches
-//! results under canonical problem keys, and degrades every failure —
-//! malformed input, engine panics, overload, shutdown — into a typed
+//! matrix-chain/optimal-BST, AND/OR graph evaluation, Smith–Waterman
+//! local alignment (`align`), and 0/1 knapsack (`knapsack`).  Each
+//! connection is pipelined: every request line it sends is admitted on
+//! arrival (up to a per-connection cap) and answered in line order.
+//! The server coalesces same-shape requests into batches for the
+//! engines' pipelined batch entry points (the serving-side use of the
+//! paper's §6 observation that independent instances pipeline through
+//! one array), caches results under canonical problem keys, and
+//! degrades every failure — malformed input, engine panics, overload,
+//! shutdown — into a typed
 //! [`SdpError`](sdp_fault::SdpError) response instead of a dropped
 //! connection.
 //!

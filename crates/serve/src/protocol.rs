@@ -681,14 +681,18 @@ pub fn ok_cached_response(id: i64, payload: &str) -> String {
 /// and control replies stay untagged — the cache stores payloads, not
 /// provenance, and the payload is bit-identical either way.
 pub fn ok_engine_response(id: i64, result: Json, batch: usize, engine: &str) -> String {
-    Json::object()
-        .with("id", Json::Int(id))
-        .with("ok", true)
-        .with("result", result)
-        .with("cached", false)
-        .with("batch", batch)
-        .with("engine", engine)
-        .render()
+    ok_engine_line(id, &result.render(), batch, engine)
+}
+
+/// [`ok_engine_response`] around a *pre-rendered* payload, spliced in
+/// the way [`ok_cached_response`] splices a cache hit: the dispatcher
+/// renders each engine payload once and shares it between the cache
+/// and this envelope.
+pub fn ok_engine_line(id: i64, payload: &str, batch: usize, engine: &str) -> String {
+    let engine = Json::from(engine).render();
+    format!(
+        "{{\"id\":{id},\"ok\":true,\"result\":{payload},\"cached\":false,\"batch\":{batch},\"engine\":{engine}}}"
+    )
 }
 
 /// Stable wire name for an error variant.
@@ -984,5 +988,56 @@ mod tests {
         assert!(r.contains("\"degraded\":true"));
         assert!(r.contains("\"cached\":false"));
         assert!(r.contains("\"id\":11"));
+    }
+
+    #[test]
+    fn spliced_engine_lines_match_the_json_envelope() {
+        use crate::engine::{run_bucket_on, EngineKind};
+        // The envelope as it was built from the Json tree before the
+        // dispatcher started splicing pre-rendered payloads.
+        let tree = |id: i64, result: Json, batch: usize, engine: &str| {
+            Json::object()
+                .with("id", Json::Int(id))
+                .with("ok", true)
+                .with("result", result)
+                .with("cached", false)
+                .with("batch", batch)
+                .with("engine", engine)
+                .render()
+        };
+        // One request of every class: `null` costs in the Design 1 and
+        // matmul payloads, a `null` alignment end, and a knapsack row.
+        let lines = [
+            r#"{"id":1,"kind":"multistage","design":1,"mats":[{"rows":2,"cols":2,"data":[1,null,3,4]},{"rows":2,"cols":2,"data":[null,null,3,4]}]}"#,
+            r#"{"id":2,"kind":"multistage","design":2,"mats":[{"rows":2,"cols":2,"data":[1,2,3,4]},{"rows":2,"cols":2,"data":[null,2,3,null]}]}"#,
+            r#"{"id":3,"kind":"matmul","a":{"rows":2,"cols":1,"data":[null,2]},"b":{"rows":1,"cols":2,"data":[5,6]}}"#,
+            r#"{"id":4,"kind":"edit","a":"kitten","b":"sitting"}"#,
+            r#"{"id":5,"kind":"chain","dims":[4,2,3,7]}"#,
+            r#"{"id":6,"kind":"bst","freq":[3,1,4]}"#,
+            r#"{"id":7,"kind":"andor","nodes":[{"op":"leaf","value":2},{"op":"leaf","value":5},{"op":"and","level":1,"children":[0,1],"cost":1},{"op":"or","level":2,"children":[2]}],"root":3}"#,
+            r#"{"id":8,"kind":"align","a":"acacacta","b":"agcacaca"}"#,
+            r#"{"id":9,"kind":"align","a":"aaa","b":"ccc"}"#,
+            r#"{"id":10,"kind":"knapsack","weights":[1,3,4,5],"values":[1,4,5,7],"capacity":7}"#,
+        ];
+        for (n, line) in lines.iter().enumerate() {
+            let Request::Compute { body, .. } = decode(&parse(line).unwrap()).unwrap() else {
+                panic!("compute");
+            };
+            let id = n as i64 - 4;
+            for kind in [EngineKind::Sim, EngineKind::Direct] {
+                let payload = run_bucket_on(kind, body.class(), std::slice::from_ref(&body))
+                    .remove(0)
+                    .unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(
+                    ok_engine_line(id, &payload.render(), n, kind.name()),
+                    tree(id, payload.clone(), n, kind.name()),
+                    "{line}"
+                );
+                assert_eq!(
+                    ok_engine_response(id, payload.clone(), n, kind.name()),
+                    tree(id, payload, n, kind.name())
+                );
+            }
+        }
     }
 }

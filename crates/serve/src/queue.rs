@@ -42,7 +42,6 @@ use crate::protocol::CLASSES;
 use sdp_fault::SdpError;
 use sdp_metrics::Gauge;
 use sdp_par::lock_recover;
-use sdp_trace::json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -98,8 +97,9 @@ pub struct SpanTimes {
 /// What the dispatcher sends back to the submitting connection.
 #[derive(Debug)]
 pub struct JobResponse {
-    /// Engine result or typed failure.
-    pub result: Result<Json, SdpError>,
+    /// The rendered result payload (the same `Arc` the cache holds), or
+    /// a typed failure.
+    pub result: Result<Arc<str>, SdpError>,
     /// Size of the coalesced batch this job rode in.
     pub batch: usize,
     /// Which backend ran the bucket — `None` when no engine ran (the
@@ -110,11 +110,12 @@ pub struct JobResponse {
     pub span: SpanTimes,
 }
 
-/// A completed job addressed to one event-loop connection slot:
-/// `(slot, generation, response)`.  The generation guards against slot
-/// reuse — a completion for a connection that already closed is
-/// silently dropped, exactly like the old dropped-receiver send.
-pub type Completion = (usize, u64, JobResponse);
+/// A completed job addressed to one reply slot of one event-loop
+/// connection: `(slot, generation, seq, response)`.  The generation
+/// guards against slot reuse — a completion for a connection that
+/// already closed is silently dropped, exactly like the old
+/// dropped-receiver send — and `seq` names the connection's reply slot.
+pub type Completion = (usize, u64, u64, JobResponse);
 
 /// Where a [`JobResponse`] is delivered.
 #[derive(Debug)]
@@ -131,6 +132,8 @@ pub enum ReplySink {
         slot: usize,
         /// Slot generation at submit time.
         gen: u64,
+        /// The request's reply slot in the connection's reply queue.
+        seq: u64,
     },
 }
 
@@ -147,8 +150,9 @@ impl ReplySink {
                 wake,
                 slot,
                 gen,
+                seq,
             } => {
-                lock_recover(inbox).push((*slot, *gen, resp));
+                lock_recover(inbox).push((*slot, *gen, *seq, resp));
                 wake.wake();
             }
         }

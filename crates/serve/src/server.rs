@@ -18,12 +18,20 @@
 //! coalesced buckets off its queue shard and fans multi-bucket flushes
 //! out over a [`StealPool`].
 //!
+//! Connections are pipelined: every buffered request line is admitted
+//! at once, so a client's whole window can coalesce into one bucket
+//! (paper Eq. 9 pays only when a bucket holds many instances).  Each
+//! line that produces a reply takes the next slot of the connection's
+//! reply queue; completions fill their slot by sequence number, and
+//! only the ready prefix of the queue is written, so replies leave in
+//! request-line order.  [`PENDING_CAP`] bounds what one connection
+//! holds between read and reply.
+//!
 //! Per-socket watchdog semantics survive the rewrite: a connection
 //! with no complete request line for `idle_timeout` is reaped (the
 //! idle clock resets on received bytes and on reply delivery, and
-//! never fires while a request is in flight), and a peer that stops
-//! draining its socket is cut off after `write_timeout` of no write
-//! progress.
+//! never fires while a reply is owed), and a peer that stops draining
+//! its socket is cut off after `write_timeout` of no write progress.
 //!
 //! The panic contract: every failure path a client can trigger —
 //! malformed JSON, oversized lines, invalid problems, engine panics,
@@ -59,9 +67,12 @@ use std::time::{Duration, Instant};
 /// unobserved, not accept latency (readiness wakes the poll early).
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
-/// Parsed-but-unprocessed request lines a connection may buffer before
-/// the worker stops polling its socket for reads (per-connection
-/// pipelining backpressure).
+/// The one bound on what a connection holds between read and reply:
+/// lines parsed but not yet admitted, plus reply slots (requests queued
+/// or on the engine, and replies waiting behind an earlier one).  At
+/// the cap the worker stops admitting lines and stops polling the
+/// socket for reads, so one connection can occupy at most this many
+/// admission-queue slots.
 const PENDING_CAP: usize = 64;
 
 /// Socket read chunk size.
@@ -433,9 +444,12 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
     let engine_us = engine_done.saturating_duration_since(started).as_micros() as u64;
     for (job, result) in jobs.into_iter().zip(results) {
         let ok = result.is_ok();
-        if let Ok(payload) = &result {
-            let rendered: Arc<str> = Arc::from(payload.render());
-            if lock_recover(&shared.caches[class.index()]).insert(job.cache_key, rendered) {
+        // Render once: the cache and the reply envelope share the text.
+        let result = result.map(|payload| Arc::<str>::from(payload.render()));
+        if let Ok(rendered) = &result {
+            if lock_recover(&shared.caches[class.index()])
+                .insert(job.cache_key, Arc::clone(rendered))
+            {
                 shared.metrics.cache_evicted();
             }
         }
@@ -469,10 +483,13 @@ enum Pending {
     TooLarge(usize),
 }
 
-/// The compute request a connection is blocked on.
-struct Inflight {
-    id: i64,
-    class: Class,
+/// One slot of a connection's reply queue, in request-line order.
+enum Reply {
+    /// An admitted compute request whose completion has not arrived.
+    Waiting { id: i64, class: Class },
+    /// A finished reply line.  Compute replies pass the chaos gate when
+    /// released; control replies are written straight.
+    Ready { text: String, compute: bool },
 }
 
 /// One connection's slab state inside an event worker.
@@ -483,8 +500,14 @@ struct Conn {
     /// Once the current line blows the cap: total bytes seen so far
     /// (content is discarded until the closing newline).
     oversized: Option<usize>,
-    /// Complete lines waiting to be processed.
+    /// Complete lines waiting to be admitted.
     pending: VecDeque<Pending>,
+    /// Reply slots in request-line order; the ready prefix is released
+    /// to `write_buf`.
+    replies: VecDeque<Reply>,
+    /// Sequence number of `replies.front()`: slot `seq` lives at
+    /// `replies[seq - front_seq]`.
+    front_seq: u64,
     /// Bytes not yet accepted by the socket.
     write_buf: Vec<u8>,
     /// Armed while `write_buf` is non-empty; no progress past it cuts
@@ -497,8 +520,6 @@ struct Conn {
     /// At least one complete request line has arrived; established
     /// connections idling cleanly between requests are never reaped.
     established: bool,
-    /// The submitted request this connection is waiting on, if any.
-    inflight: Option<Inflight>,
     /// Peer closed its write side; serve what's buffered, then close.
     eof: bool,
     /// Deliver nothing further; close once `write_buf` drains
@@ -515,21 +536,27 @@ impl Conn {
             partial: Vec::new(),
             oversized: None,
             pending: VecDeque::new(),
+            replies: VecDeque::new(),
+            front_seq: 0,
             write_buf: Vec::new(),
             write_deadline: None,
             idle_deadline,
             established: false,
-            inflight: None,
             eof: false,
             close_after_flush: false,
             dead: false,
         }
     }
 
-    /// Fully drained: nothing buffered in either direction and nothing
-    /// in flight.
+    /// Lines held between read and reply (bounded by [`PENDING_CAP`]).
+    fn held(&self) -> usize {
+        self.pending.len() + self.replies.len()
+    }
+
+    /// Fully drained: nothing buffered in either direction and no reply
+    /// owed.
     fn drained(&self) -> bool {
-        self.inflight.is_none()
+        self.replies.is_empty()
             && self.pending.is_empty()
             && self.write_buf.is_empty()
             && self.partial.is_empty()
@@ -541,7 +568,7 @@ impl Conn {
     /// connections idling cleanly between requests are exempt: a
     /// parked socket costs the event loop nothing.
     fn reapable(&self) -> bool {
-        self.inflight.is_none()
+        self.replies.is_empty()
             && self.pending.is_empty()
             && self.write_buf.is_empty()
             && (!self.established || !self.partial.is_empty() || self.oversized.is_some())
@@ -575,15 +602,15 @@ fn event_loop(shared: Arc<Shared>, route: WorkerRoute, pipe: WakePipe) {
         }
         // Deliver completed jobs to their connections.
         let done: Vec<Completion> = std::mem::take(&mut *lock_recover(&route.completions));
-        for (slot, gen, resp) in done {
+        for (slot, gen, seq, resp) in done {
             if let Some(conn) = slots.get_mut(slot).and_then(Option::as_mut) {
                 if gens[slot] == gen {
-                    deliver_completion(conn, resp, &shared);
+                    deliver_completion(conn, seq, resp, &shared);
                 }
             }
         }
-        // Service every connection: process parsed lines, then push
-        // whatever is writable.
+        // Service every connection: admit parsed lines, release ready
+        // replies, then push whatever is writable.
         for slot in 0..slots.len() {
             let gen = gens[slot];
             if let Some(conn) = slots[slot].as_mut() {
@@ -638,7 +665,7 @@ fn event_loop(shared: Arc<Shared>, route: WorkerRoute, pipe: WakePipe) {
         for (slot, entry) in slots.iter().enumerate() {
             let Some(conn) = entry else { continue };
             let mut events = 0i16;
-            if !conn.eof && !conn.close_after_flush && conn.pending.len() < PENDING_CAP {
+            if !conn.eof && !conn.close_after_flush && conn.held() < PENDING_CAP {
                 events |= POLLIN;
             }
             if !conn.write_buf.is_empty() {
@@ -679,7 +706,7 @@ fn event_loop(shared: Arc<Shared>, route: WorkerRoute, pipe: WakePipe) {
     }
 }
 
-/// Reads until `WouldBlock` (or the pipelining cap), slicing complete
+/// Reads until `WouldBlock` (or [`PENDING_CAP`]), slicing complete
 /// request lines into the connection's pending deque.
 fn read_conn(conn: &mut Conn, rbuf: &mut [u8], shared: &Shared) {
     loop {
@@ -691,7 +718,7 @@ fn read_conn(conn: &mut Conn, rbuf: &mut [u8], shared: &Shared) {
             Ok(n) => {
                 conn.idle_deadline = Instant::now() + shared.cfg.idle_timeout;
                 ingest(conn, &rbuf[..n], shared.cfg.max_request_bytes);
-                if conn.pending.len() >= PENDING_CAP {
+                if conn.held() >= PENDING_CAP {
                     return;
                 }
             }
@@ -802,11 +829,13 @@ fn push_compute_reply(conn: &mut Conn, text: &str, shared: &Shared) {
                 return;
             }
             ReplyAction::Drop => {
-                // Swallow this reply, abandon unprocessed pipelined
-                // lines, flush earlier replies, then close — exactly
-                // the blast radius of the old thread-per-connection
-                // drop.
+                // Swallow this reply, abandon every later reply slot
+                // (their completions are discarded on arrival) and
+                // unprocessed pipelined line, flush earlier replies,
+                // then close.
                 shared.metrics.chaos_injected("connection_drop");
+                conn.front_seq += conn.replies.len() as u64;
+                conn.replies.clear();
                 conn.pending.clear();
                 conn.close_after_flush = true;
                 return;
@@ -817,53 +846,86 @@ fn push_compute_reply(conn: &mut Conn, text: &str, shared: &Shared) {
     conn.write_buf.push(b'\n');
 }
 
-/// Processes parsed request lines until one goes in flight (at most
-/// one compute request per connection runs at a time; pipelined lines
-/// wait their turn in `pending`).
+/// Admits parsed request lines, each taking the next reply slot, while
+/// the connection holds fewer than [`PENDING_CAP`] slots.  The ready
+/// prefix of the reply queue is released before every admission, so
+/// slots freed by delivered completions or inline replies admit the
+/// next lines in this same pass: a line left pending here would wait
+/// for an unrelated wake-up, since its bytes were already read.
 fn service_conn(conn: &mut Conn, slot: usize, gen: u64, shared: &Shared, route: &WorkerRoute) {
-    while conn.inflight.is_none() && !conn.close_after_flush && !conn.dead {
+    loop {
+        release(conn, shared);
+        if conn.replies.len() >= PENDING_CAP || conn.close_after_flush || conn.dead {
+            return;
+        }
         let Some(next) = conn.pending.pop_front() else {
             return;
         };
-        match next {
+        let reply = match next {
             Pending::TooLarge(bytes) => {
                 shared.metrics.oversized();
                 let e = SdpError::PayloadTooLarge {
                     bytes,
                     limit: shared.cfg.max_request_bytes,
                 };
-                push_control(conn, &protocol::error_response(0, &e));
+                control(protocol::error_response(0, &e))
             }
             Pending::Line(line) => {
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(conn, &line, slot, gen, shared, route);
+                let seq = conn.front_seq + conn.replies.len() as u64;
+                let tx = || ReplySink::Event {
+                    inbox: Arc::clone(&route.completions),
+                    wake: route.wake.clone(),
+                    slot,
+                    gen,
+                    seq,
+                };
+                handle_line(&line, shared, tx)
             }
+        };
+        conn.replies.push_back(reply);
+    }
+}
+
+/// Moves the ready prefix of the reply queue to `write_buf`, stopping
+/// at the first reply still waiting on the engine (a chaos drop empties
+/// the queue).
+fn release(conn: &mut Conn, shared: &Shared) {
+    while let Some(Reply::Ready { text, compute }) = conn.replies.front_mut() {
+        let (text, compute) = (std::mem::take(text), *compute);
+        conn.replies.pop_front();
+        conn.front_seq += 1;
+        if compute {
+            push_compute_reply(conn, &text, shared);
+        } else {
+            push_control(conn, &text);
         }
     }
 }
 
-/// Decodes one request line and routes it: control requests reply
-/// inline, compute requests either reply inline (cache hit, degraded,
-/// rejected) or go in flight through the admission queue.
-fn handle_line(
-    conn: &mut Conn,
-    line: &str,
-    slot: usize,
-    gen: u64,
-    shared: &Shared,
-    route: &WorkerRoute,
-) {
+/// A finished control reply (never subject to chaos actions).
+fn control(text: String) -> Reply {
+    Reply::Ready {
+        text,
+        compute: false,
+    }
+}
+
+/// Decodes one request line and answers it with its reply slot:
+/// control requests and inline compute answers (cache hit, degraded,
+/// rejected) are ready at once; an admitted compute request waits for
+/// its completion, routed back through `tx`.
+fn handle_line(line: &str, shared: &Shared, tx: impl FnOnce() -> ReplySink) -> Reply {
     let doc = match json::parse(line) {
         Ok(doc) => doc,
         Err(reason) => {
             shared.metrics.malformed();
-            push_control(
-                conn,
-                &protocol::error_response(0, &SdpError::MalformedRequest { reason }),
-            );
-            return;
+            return control(protocol::error_response(
+                0,
+                &SdpError::MalformedRequest { reason },
+            ));
         }
     };
     let request = match protocol::decode(&doc) {
@@ -871,25 +933,24 @@ fn handle_line(
         Err(e) => {
             shared.metrics.malformed();
             let id = json::get(&doc, "id").and_then(json::as_i64).unwrap_or(0);
-            push_control(conn, &protocol::error_response(id, &e));
-            return;
+            return control(protocol::error_response(id, &e));
         }
     };
     match request {
         Request::Metrics { id } => {
             let snapshot = shared.metrics.to_json(shared.queue.depth());
-            push_control(conn, &protocol::ok_response(id, snapshot, false, 0));
+            control(protocol::ok_response(id, snapshot, false, 0))
         }
         Request::MetricsText { id } => {
             let payload = Json::object()
                 .with("format", "prometheus")
                 .with("text", shared.metrics.render_prometheus());
-            push_control(conn, &protocol::ok_response(id, payload, false, 0));
+            control(protocol::ok_response(id, payload, false, 0))
         }
         Request::Shutdown { id } => {
             let reply = protocol::ok_response(id, Json::object().with("draining", true), false, 0);
-            push_control(conn, &reply);
             shared.begin_shutdown();
+            control(reply)
         }
         Request::Compute {
             id,
@@ -897,9 +958,12 @@ fn handle_line(
             deadline_ms,
         } => {
             let class = body.class();
-            match handle_compute(id, body, deadline_ms, slot, gen, shared, route) {
-                Some(reply) => push_compute_reply(conn, &reply, shared),
-                None => conn.inflight = Some(Inflight { id, class }),
+            match handle_compute(id, body, deadline_ms, shared, tx) {
+                Some(text) => Reply::Ready {
+                    text,
+                    compute: true,
+                },
+                None => Reply::Waiting { id, class },
             }
         }
     }
@@ -951,37 +1015,48 @@ fn finish_span(id: i64, class: Class, batch: usize, span: &SpanTimes, shared: &S
     }
 }
 
-/// Renders and delivers one completed job's reply, closing its span
-/// and re-arming the idle clock.
-fn deliver_completion(conn: &mut Conn, resp: JobResponse, shared: &Shared) {
-    let Some(inflight) = conn.inflight.take() else {
+/// Fills reply slot `seq` with its completed job's reply, closing the
+/// request's span and re-arming the idle clock.  The `respond` phase
+/// ends here; the reply is written once every earlier slot of the
+/// connection is.  A completion for an abandoned slot (chaos
+/// connection_drop) is discarded.
+fn deliver_completion(conn: &mut Conn, seq: u64, resp: JobResponse, shared: &Shared) {
+    let Some(reply) = seq
+        .checked_sub(conn.front_seq)
+        .and_then(|i| conn.replies.get_mut(i as usize))
+    else {
         return;
     };
-    finish_span(inflight.id, inflight.class, resp.batch, &resp.span, shared);
+    let Reply::Waiting { id, class } = *reply else {
+        return;
+    };
+    finish_span(id, class, resp.batch, &resp.span, shared);
     let text = match resp.result {
-        Ok(payload) => protocol::ok_engine_response(
-            inflight.id,
-            payload,
+        Ok(payload) => protocol::ok_engine_line(
+            id,
+            &payload,
             resp.batch,
             resp.engine.map_or("sim", |k| k.name()),
         ),
-        Err(e) => protocol::error_response(inflight.id, &e),
+        Err(e) => protocol::error_response(id, &e),
     };
-    push_compute_reply(conn, &text, shared);
+    *reply = Reply::Ready {
+        text,
+        compute: true,
+    };
     conn.idle_deadline = Instant::now() + shared.cfg.idle_timeout;
 }
 
 /// The compute admission path.  Returns `Some(reply)` for an inline
 /// answer (cache hit, degraded fallback, typed rejection), `None` once
-/// the job is in flight and its reply will arrive as a [`Completion`].
+/// the job is in flight and its reply will arrive through `tx` as a
+/// [`Completion`].
 fn handle_compute(
     id: i64,
     body: Body,
     deadline_ms: Option<u64>,
-    slot: usize,
-    gen: u64,
     shared: &Shared,
-    route: &WorkerRoute,
+    tx: impl FnOnce() -> ReplySink,
 ) -> Option<String> {
     let class = body.class();
     let key = body.canonical_key();
@@ -1021,12 +1096,7 @@ fn handle_compute(
     let job = Job {
         body,
         cache_key: key,
-        tx: ReplySink::Event {
-            inbox: Arc::clone(&route.completions),
-            wake: route.wake.clone(),
-            slot,
-            gen,
-        },
+        tx: tx(),
         enqueued: now,
         deadline,
         deadline_ms,
