@@ -44,36 +44,56 @@ fn sweep(
     row
 }
 
+/// Relay-only cycles of the launch schedule: `cycles` minus every cycle
+/// on which some PE decides.  Each instance starts at its launch cycle,
+/// and its item `i` launches at `s_i = launch + i + Σ_{k<i} w_k`; PE
+/// `j` decides at `s_i + j` (immediate: `j < w_i`, or `w_i = 0`) or at
+/// `s_i + j + w_i` (train resolution: `j ≥ w_i`).  So an item's
+/// decision cycles form at most two intervals.  They are sorted and
+/// merged rather than marked cycle by cycle, so the count allocates
+/// per item, not per cycle, and a weight near 2^63 costs nothing.  The
+/// schedule arithmetic saturates, like [`knapsack_cycle_count`].
+fn stall_cycles<'a>(
+    instances: impl IntoIterator<Item = (u64, &'a [KnapsackItem])>,
+    capacity: u64,
+    cycles: u64,
+) -> u64 {
+    let c = capacity;
+    // Half-open [start, end) intervals of decision cycles.
+    let mut spans = Vec::new();
+    for (launch, items) in instances {
+        let mut s = launch;
+        for it in items {
+            let wi = it.weight;
+            let end = |last: u64| s.saturating_add(last).saturating_add(1);
+            if wi == 0 {
+                spans.push((s, end(c)));
+            } else {
+                spans.push((s, end((wi - 1).min(c))));
+                if wi <= c {
+                    spans.push((s.saturating_add(2 * wi), end(wi + c)));
+                }
+            }
+            s = s.saturating_add(wi).saturating_add(1);
+        }
+    }
+    spans.sort_unstable();
+    let (mut busy, mut covered) = (0u64, 0u64);
+    for (start, end) in spans {
+        let from = start.max(covered);
+        if end > from {
+            busy += end - from;
+            covered = end;
+        }
+    }
+    cycles.saturating_sub(busy)
+}
+
 /// Closed-form array Stats for one instance.
 fn array_stats(items: &[KnapsackItem], capacity: u64) -> Stats {
     let (n, c) = (items.len() as u64, capacity);
     let cycles = knapsack_cycle_count(items, capacity);
     let tail_train: u64 = items.iter().map(|it| it.weight.min(c + 1)).sum();
-    // Mark the decision cycles of the launch schedule; the rest are
-    // relay-only stalls.  Item i launches at s_i = i + Σ_{k<i} w_k;
-    // PE j decides at s_i + j (immediate: j < w_i, or w_i = 0) or at
-    // s_i + j + w_i (train resolution: j ≥ w_i).
-    let mut busy_cycle = vec![false; cycles as usize];
-    let mut s = 0u64;
-    for it in items {
-        let wi = it.weight;
-        if wi == 0 {
-            for t in s..=s + c {
-                busy_cycle[t as usize] = true;
-            }
-        } else {
-            for t in s..=s + (wi - 1).min(c) {
-                busy_cycle[t as usize] = true;
-            }
-            if wi <= c {
-                for t in s + 2 * wi..=s + wi + c {
-                    busy_cycle[t as usize] = true;
-                }
-            }
-        }
-        s += wi + 1;
-    }
-    let stalls = busy_cycle.iter().filter(|&&b| !b).count() as u64;
     Stats::from_parts(
         cycles,
         vec![n; c as usize + 1],
@@ -81,7 +101,7 @@ fn array_stats(items: &[KnapsackItem], capacity: u64) -> Stats {
         n + tail_train + c + 2,
         0,
         0,
-        stalls,
+        stall_cycles([(0, items)], capacity, cycles),
     )
 }
 
@@ -170,43 +190,23 @@ pub fn knapsack_direct_batch(
     // offset by its launch cycle.
     let mut s = 0u64;
     let mut last_flush = 0u64;
-    let mut offsets = Vec::with_capacity(batch.len());
-    for items in batch {
-        offsets.push(s);
-        let w: u64 = items.iter().map(|it| it.weight).sum();
-        s += items.len() as u64 + w;
-        last_flush = s;
-        s += c as u64 + 2;
-    }
-    let cycles = last_flush + 2 * (c as u64 + 1);
-    let mut busy_cycle = vec![false; cycles as usize];
+    let mut launches = Vec::with_capacity(batch.len());
     let mut input_words = 0u64;
     let mut output_words = 0u64;
-    for (items, &offset) in batch.iter().zip(&offsets) {
-        let mut s = offset;
-        for it in items.iter() {
-            let wi = it.weight;
-            if wi == 0 {
-                for t in s..=s + c as u64 {
-                    busy_cycle[t as usize] = true;
-                }
-            } else {
-                for t in s..=s + (wi - 1).min(c as u64) {
-                    busy_cycle[t as usize] = true;
-                }
-                if wi <= c as u64 {
-                    for t in s + 2 * wi..=s + wi + c as u64 {
-                        busy_cycle[t as usize] = true;
-                    }
-                }
-            }
-            s += wi + 1;
-        }
+    for &items in batch {
+        launches.push((s, items));
+        let w = items
+            .iter()
+            .fold(0u64, |acc, it| acc.saturating_add(it.weight));
+        s = s.saturating_add(items.len() as u64).saturating_add(w);
+        last_flush = s;
+        s = s.saturating_add(c as u64 + 2);
         let tail_train: u64 = items.iter().map(|it| it.weight.min(c as u64 + 1)).sum();
         input_words += items.len() as u64 + 1;
         output_words += items.len() as u64 + tail_train + c as u64 + 2;
     }
-    let stalls = busy_cycle.iter().filter(|&&b| !b).count() as u64;
+    let cycles = last_flush.saturating_add(2 * (c as u64 + 1));
+    let stalls = stall_cycles(launches, capacity, cycles);
     let n_total: u64 = batch.iter().map(|items| items.len() as u64).sum();
     let stats = Stats::from_parts(
         cycles,
@@ -291,6 +291,29 @@ mod tests {
             knapsack_direct_batch(&[], 7),
             Err(SdpError::EmptyBatch)
         ));
+    }
+
+    #[test]
+    fn a_huge_weight_costs_no_per_cycle_allocation() {
+        // Marking busy cycles in a per-cycle vector would allocate
+        // 2^40 bytes here and abort the process.
+        let w = 1u64 << 40;
+        let (n, capacity) = (1u64, 10u64);
+        let huge = items(&[(w, 1)]);
+        let run = knapsack_direct_batch(&[&huge], capacity).unwrap();
+        assert_eq!(run.per_capacity, vec![vec![0; capacity as usize + 1]]);
+        assert_eq!(run.bests, vec![0]);
+        let cycles = n + w + 2 * (capacity + 1);
+        assert_eq!(run.cycles, cycles);
+        // Only the C + 1 immediate decisions are busy: the item never
+        // fits, so no train resolves.
+        assert_eq!(run.stats.stall_cycles(), cycles - (capacity + 1));
+        assert_eq!(knapsack_direct(&huge, capacity).stats, run.stats);
+        // Weights near 2^63 saturate the schedule instead of wrapping.
+        let max = items(&[(i64::MAX as u64, 1), (i64::MAX as u64, 2)]);
+        let run = knapsack_direct_batch(&[&max, &max], capacity).unwrap();
+        assert_eq!(run.cycles, u64::MAX);
+        assert_eq!(run.bests, vec![0, 0]);
     }
 
     #[test]

@@ -1496,13 +1496,10 @@ fn report_e24_sized(
     use sdp_serve::{json as sjson, Config};
 
     // The serving configuration under test: the event-loop front-end
-    // with a tight adaptive coalescing window, and every bucket pinned
-    // to the direct backends (E27 showed they dominate at these sizes;
-    // saturation measures the serving stack, not the simulator).
+    // with the default work-conserving flush, every bucket on the
+    // direct backends.
     let handle = sdp_serve::serve(Config {
-        max_delay: std::time::Duration::from_millis(2),
         workers: 2,
-        direct_threshold: 0,
         ..Config::default()
     })
     .expect("serve bind");
@@ -1623,7 +1620,7 @@ fn report_e24_sized(
     let mut report = Report::new(
         "e24",
         format!(
-            "E24 (serving saturation): event-loop front-end + adaptive coalescing,\n\
+            "E24 (serving saturation): event-loop front-end + work-conserving coalescing,\n\
              cached phase {cached_conns} conns x pipeline {cached_pipeline} over an \
              8-problem hot set,\n\
              cold phase {cold_conns} conns x pipeline {cold_pipeline} of distinct \
@@ -1937,7 +1934,6 @@ fn chaos_campaign(seed: u64, clients: usize, reqs_per_client: usize) -> (ChaosCa
     );
     let chaos = Arc::new(ServeChaos::new(&plan));
     let handle = sdp_serve::serve(Config {
-        max_delay: Duration::from_millis(2),
         cache_capacity: 0,
         breaker_trip_after: 2,
         breaker_cooldown: Duration::from_millis(150),
@@ -2487,8 +2483,8 @@ fn report_e27_sized(ramp_len: usize, reps: usize) -> Report {
          are host wall-clock, size/work columns deterministic."
             .into(),
         "crossover_work = smallest ramp work measure where the direct solver is\n\
-         at least as fast as the simulator; the serve --direct-threshold default\n\
-         (4096) sits inside every class's ramp."
+         at least as fast as the simulator; the server runs every bucket on the\n\
+         direct solver."
             .into(),
         "expected gap differs by sim fidelity: edit/align/matmul/knapsack/\n\
          multistage1 serve from cycle-accurate PE arrays (order-of-magnitude\n\

@@ -240,12 +240,16 @@ pub struct BatchKnapsackRun {
 }
 
 /// The closed-form schedule length: `n + Σ w_i + 2·(C + 1)` for a
-/// non-empty item list, 0 otherwise (no array is built).
+/// non-empty item list, 0 otherwise (no array is built).  The sum
+/// saturates at `u64::MAX`, so weights near 2^63 cannot overflow it.
 pub fn knapsack_cycle_count(items: &[KnapsackItem], capacity: u64) -> u64 {
     if items.is_empty() {
         return 0;
     }
-    items.len() as u64 + items.iter().map(|it| it.weight).sum::<u64>() + 2 * (capacity + 1)
+    items
+        .iter()
+        .fold(items.len() as u64, |acc, it| acc.saturating_add(it.weight))
+        .saturating_add(capacity.saturating_add(1).saturating_mul(2))
 }
 
 fn new_array(capacity: u64) -> Result<LinearArray<KnapPe>, SdpError> {

@@ -5,16 +5,15 @@
 //! sdp-serve [ADDR] [--workers N] [--event-workers N] [--max-batch N]
 //!           [--max-delay-ms N] [--cache N] [--max-queue N]
 //!           [--shed-queue N] [--default-deadline-ms N]
-//!           [--idle-timeout-ms N] [--direct-threshold N]
-//!           [--trace-out FILE]
+//!           [--idle-timeout-ms N] [--trace-out FILE]
 //! ```
 //!
 //! `--event-workers N` sizes the pool of event-loop connection
 //! workers (each multiplexes a slab of nonblocking sockets).
 //!
-//! `--direct-threshold N` sets the engine-dispatch crossover: requests
-//! whose work measure is at or beyond `N` run on the compiled
-//! `sdp-backend` solvers instead of the cycle-accurate simulators.
+//! `--max-delay-ms N` holds each bucket open up to `N` ms for more
+//! riders; the default, 0, flushes as soon as the class's dispatcher
+//! is free.  Every request runs on the `sdp-backend` direct solvers.
 //!
 //! `--trace-out FILE` enables per-request span tracing and, after the
 //! drain completes, writes the collected Chrome trace (load it in
@@ -28,7 +27,7 @@ fn usage() -> ! {
         "usage: sdp-serve [ADDR] [--workers N] [--event-workers N] \
          [--max-batch N] [--max-delay-ms N] [--cache N] [--max-queue N] \
          [--shed-queue N] [--default-deadline-ms N] [--idle-timeout-ms N] \
-         [--direct-threshold N] [--trace-out FILE]"
+         [--trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -65,9 +64,6 @@ fn main() {
             "--idle-timeout-ms" => {
                 cfg.idle_timeout =
                     Duration::from_millis(num_arg(&mut args, "--idle-timeout-ms").max(1) as u64)
-            }
-            "--direct-threshold" => {
-                cfg.direct_threshold = num_arg(&mut args, "--direct-threshold") as u64
             }
             "--trace-out" => {
                 let path = args.next().unwrap_or_else(|| {

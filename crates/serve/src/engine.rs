@@ -1,30 +1,25 @@
-//! Executes one coalesced bucket of same-class, same-shape requests on
-//! the systolic engines.
+//! Executes one coalesced bucket of same-class, same-shape requests.
 //!
-//! The batched classes hand the whole bucket to the PR 3 pipelined
-//! entry points (`run_batch` / `multiply_batch` /
-//! `edit_distance_mesh_batch`), so a coalesced dispatch pays the
-//! array's fill/drain latency once for B requests — the serving-side
-//! realization of the paper's §6 pipelining of independent instances.
-//! Classes without a batched engine (chain, BST, AND/OR) loop inside
-//! the one pool task their bucket became.
+//! The server runs every bucket through [`run_bucket`], on the
+//! `sdp-backend` direct solvers.  Their `_batch` entries loop over the
+//! riders, so a bucket amortises dispatch overhead, not an array's
+//! fill and drain.  The cycle-accurate simulators stay behind
+//! [`run_bucket_on`] with [`EngineKind::Sim`]: they are the reference
+//! the direct payloads are checked against, and their batch entries
+//! (`run_batch` / `multiply_batch` / `edit_distance_mesh_batch`) are
+//! where the paper's §6 pipelining of independent instances through
+//! one array is reproduced.
 //!
 //! Result payloads are a pure function of the problem instance — they
 //! never include batch-dependent numbers — so a response is bit
 //! identical whether it was computed cold, coalesced into a batch, or
 //! replayed from the cache.
 //!
-//! Auto-dispatch: every bucket is sized by [`body_work`] and routed by
-//! [`choose`] — below the configured crossover it runs on the
-//! cycle-accurate simulators, at or beyond it on the `sdp-backend`
-//! direct solvers.  Each class has one bucket path: it unpacks its
-//! riders once, lets the [`EngineKind`] pick only the solver call (both
-//! return the same result type, bit-identical — proved by the
-//! `conformance_backend` suite), and renders the payload once.  So the
-//! choice is invisible in the payload and visible only in the
-//! response's `engine` tag and the per-class metrics.  The third
-//! payload source, [`oracle_payload`], is what an open breaker degrades
-//! to.
+//! Each class has one bucket path: it unpacks its riders once, lets the
+//! [`EngineKind`] pick only the solver call (both return the same result
+//! type, bit-identical — proved by the `conformance_backend` suite), and
+//! renders the payload once.  The third payload source,
+//! [`oracle_payload`], is what an open breaker degrades to.
 
 use crate::protocol::{cost_to_json, matrix_to_json, Body, Class};
 use sdp_andor::chain::{try_matrix_chain_order, try_optimal_bst};
@@ -81,7 +76,9 @@ fn knapsack_json(best: u64, row: &[u64]) -> Json {
 }
 
 /// Which execution backend answered a bucket: the cycle-accurate
-/// simulator or the compiled `sdp-backend` direct solver.
+/// simulator or the compiled `sdp-backend` direct solver.  The server
+/// always runs `Direct`; `Sim` is the reference arm that E27 and the
+/// tests reach through [`run_bucket_on`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// Cycle-accurate systolic simulation (`sdp-core`).
@@ -104,8 +101,8 @@ impl EngineKind {
 /// the recurrence (DP cells × fan-in), the quantity both engines scale
 /// with.  Multistage `N·m²`, matmul `p·q·r`, edit `|a|·|b|`,
 /// chain/BST `n³`, align `|a|·|b|`, knapsack `n·(C+1)`; AND/OR
-/// evaluation is already direct, so it measures 0 and never leaves the
-/// simulator path.
+/// evaluation is already a direct graph walk, so it measures 0.
+/// servebench's replay reads it for its per-cell engine figures.
 pub fn body_work(body: &Body) -> u64 {
     match body {
         Body::Multistage { mats, .. } => mats
@@ -127,9 +124,10 @@ pub fn body_work(body: &Body) -> u64 {
     }
 }
 
-/// Dispatch decision for a coalesced bucket.  Buckets are uniform in
-/// shape (same `shape_key`), so the first rider's work measure speaks
-/// for all of them.
+/// Size-based dispatch decision, kept for servebench's replay: with
+/// `Config::default().direct_threshold` (0) it picks `Direct`, as the
+/// server does.  Buckets are uniform in shape (same `shape_key`), so
+/// the first rider's work measure speaks for all of them.
 pub fn choose(bodies: &[Body], direct_threshold: u64) -> EngineKind {
     match bodies.first() {
         Some(body) if body_work(body) >= direct_threshold => EngineKind::Direct,
@@ -137,11 +135,17 @@ pub fn choose(bodies: &[Body], direct_threshold: u64) -> EngineKind {
     }
 }
 
-/// Runs a bucket on the chosen backend, returning one result per
-/// request in bucket order.  Direct and sim payloads are bit-identical,
-/// so riders cannot observe the dispatch except through the response's
-/// `engine` tag.  A batch-level engine error (shape validation) is
-/// reported to every rider of the bucket.
+/// The serving entry: runs a bucket on the `sdp-backend` direct
+/// solvers, returning one result per request in bucket order.  A
+/// batch-level engine error (shape validation) is reported to every
+/// rider of the bucket.
+pub fn run_bucket(class: Class, bodies: &[Body]) -> Vec<Result<Json, SdpError>> {
+    run_bucket_on(EngineKind::Direct, class, bodies)
+}
+
+/// Runs a bucket on either backend, like [`run_bucket`].  Direct and
+/// sim payloads are bit-identical.  servebench's replay and E27 call
+/// this; E27 times both arms.
 pub fn run_bucket_on(
     kind: EngineKind,
     class: Class,
@@ -581,6 +585,11 @@ mod tests {
             let sim = run_bucket_on(EngineKind::Sim, class, &bodies);
             let direct = run_bucket_on(EngineKind::Direct, class, &bodies);
             assert_eq!(sim, direct, "{class:?} direct payload diverged from sim");
+            assert_eq!(
+                run_bucket(class, &bodies),
+                sim,
+                "{class:?} served payload diverged from sim"
+            );
             // Where the oracle can stand in, it renders the same bytes.
             for (body, served) in bodies.iter().zip(&sim) {
                 if let Some(want) = oracle_payload(body) {

@@ -9,12 +9,12 @@
 //! local alignment (`align`), and 0/1 knapsack (`knapsack`).  Each
 //! connection is pipelined: every request line it sends is admitted on
 //! arrival (up to a per-connection cap) and answered in line order.
-//! The server coalesces same-shape requests into batches for the
-//! engines' pipelined batch entry points (the serving-side use of the
-//! paper's §6 observation that independent instances pipeline through
-//! one array), caches results under canonical problem keys, and
-//! degrades every failure — malformed input, engine panics, overload,
-//! shutdown — into a typed
+//! The server answers every request on the `sdp-backend` direct
+//! solvers, which are bit-identical to the cycle-accurate simulators
+//! of the paper's arrays.  Same-shape requests that arrive while their
+//! class's dispatcher is busy ride its next batch.  The server caches
+//! results under canonical problem keys, and degrades every failure —
+//! malformed input, engine panics, overload, shutdown — into a typed
 //! [`SdpError`](sdp_fault::SdpError) response instead of a dropped
 //! connection.
 //!
@@ -23,8 +23,9 @@
 //! - [`protocol`]: request decoding, canonical keys, response envelopes
 //! - [`queue`]: admission control, load shedding, and batch coalescing
 //! - [`breaker`]: per-engine-class circuit breaker
-//! - [`engine`]: one bucket path per class onto the simulators or the
-//!   direct solvers, plus the oracle payload an open breaker degrades to
+//! - [`engine`]: one bucket path per class onto the direct solvers (the
+//!   simulators stay as the reference arm), plus the oracle payload an
+//!   open breaker degrades to
 //! - [`cache`]: exact-key LRU result cache
 //! - [`metrics`]: lock-free telemetry (counters, histograms, spans)
 //!   over the `sdp-metrics` registry, with JSON and Prometheus exporters
@@ -70,15 +71,11 @@ pub struct Config {
     pub shed_queue: usize,
     /// Coalesced-batch size cap.
     pub max_batch: usize,
-    /// Coalescing delay window (upper bound — the adaptive flush
-    /// releases buckets early whenever the arrival stream pauses).
+    /// Hold window: a bucket waits until its oldest rider has waited
+    /// this long (or it holds `max_batch` riders).  Zero, the default,
+    /// flushes work-conserving: a free dispatcher takes every pending
+    /// bucket at once, so batches form only while it is busy.
     pub max_delay: Duration,
-    /// How long a shard's dispatcher waits for a further admission
-    /// before treating the arrival stream as paused and flushing
-    /// partial buckets early.  Raising it toward `max_delay` restores
-    /// the fixed-window coalescing behaviour (useful to manufacture
-    /// queue pressure in tests).
-    pub drain_tick: Duration,
     /// Event-loop connection workers (each owns a slab of nonblocking
     /// sockets multiplexed with `poll(2)`).
     pub event_workers: usize,
@@ -109,12 +106,10 @@ pub struct Config {
     /// this many bytes are answered by the `sdp-oracle` reference
     /// solver (degraded but correct); larger ones are fast-rejected.
     pub breaker_fallback_max_bytes: usize,
-    /// Engine-dispatch crossover: buckets whose per-instance work
-    /// measure (see [`engine::body_work`]) is at or beyond this run on
-    /// the `sdp-backend` direct solvers, smaller ones on the
-    /// cycle-accurate simulators.  Payloads are bit-identical either
-    /// way; the choice is recorded in metrics and the response's
-    /// `engine` field.  `u64::MAX` pins everything to the simulator.
+    /// The size crossover servebench's replay passes to
+    /// [`engine::choose`]; the server itself does not read it and runs
+    /// every bucket on the direct solvers.  The default, 0, makes the
+    /// replay's `choose` pick those same kernels.
     pub direct_threshold: u64,
     /// Serving-level chaos injection (`None` in production: the hooks
     /// cost one `Option` check per site).
@@ -136,7 +131,6 @@ impl Default for Config {
             shed_queue: queue.shed_queue,
             max_batch: queue.max_batch,
             max_delay: queue.max_delay,
-            drain_tick: queue.drain_tick,
             event_workers: 2,
             cache_capacity: 256,
             workers: 4,
@@ -147,7 +141,7 @@ impl Default for Config {
             breaker_trip_after: 5,
             breaker_cooldown: Duration::from_secs(1),
             breaker_fallback_max_bytes: 4096,
-            direct_threshold: 4096,
+            direct_threshold: 0,
             chaos: None,
             trace: false,
         }

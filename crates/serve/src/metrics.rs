@@ -37,10 +37,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Request phases attributed by the span pipeline, in timeline order:
-/// `coalesce` (admission → bucket flush, the delay-window wait),
-/// `queue` (flush → a pool worker picks the bucket up), `engine`
-/// (the systolic run itself), `respond` (engine done → the connection
-/// thread has the reply in hand).
+/// `coalesce` (admission → bucket flush: waiting for a free
+/// dispatcher, plus any hold window), `queue` (flush → a pool worker
+/// picks the bucket up), `engine` (the solver run itself), `respond`
+/// (engine done → the connection thread has the reply in hand).
 pub const PHASES: [&str; 4] = ["coalesce", "queue", "engine", "respond"];
 
 /// JSON labels for the batch-size histogram buckets, aligned with the
@@ -366,7 +366,7 @@ impl Metrics {
     }
 
     /// Records the dispatcher-side phases of one request's span:
-    /// coalesce (delay-window wait), queue (wait for a pool worker),
+    /// coalesce (wait for the flush), queue (wait for a pool worker),
     /// and engine time, all in µs.
     pub fn record_dispatch_phases(
         &self,

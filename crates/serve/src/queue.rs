@@ -1,29 +1,30 @@
-//! Admission queue with per-class shards and dynamic batch coalescing.
+//! Admission queue with per-class shards and batch coalescing.
 //!
 //! Requests are grouped into buckets keyed by `(class, shape_key)` —
-//! only uniform-shape instances can ride one pipelined array pass (the
-//! PR 3 batch entry points reject mixed shapes).  Each engine class
-//! owns a **shard**: its own bucket map, `Mutex`, and `Condvar`, with
-//! one dispatcher thread parked per shard, so hot classes stop
-//! serializing on one global lock and an admission for `edit` never
-//! wakes the `matmul` dispatcher.  Depth accounting and the drain flag
-//! are shard-agnostic atomics so the admission fast path touches only
-//! its own shard's lock.
+//! only uniform-shape instances can share one batch engine call (the
+//! batch entry points reject mixed shapes).  Each engine class owns a
+//! **shard**: its own bucket map, `Mutex`, and `Condvar`, with one
+//! dispatcher thread parked per shard, so hot classes stop serializing
+//! on one global lock and an admission for `edit` never wakes the
+//! `matmul` dispatcher.  Depth accounting and the drain flag are
+//! shard-agnostic atomics so the admission fast path touches only its
+//! own shard's lock.
 //!
-//! A bucket flushes when it reaches `max_batch` riders, when its
-//! oldest rider has waited `max_delay`, when the server starts
-//! draining — or, adaptively, as soon as the arrival stream pauses: if
-//! a wait of one `drain_tick` **times out** with no new admission on
-//! the shard, waiting out the rest of the window cannot grow any
-//! bucket, so every pending bucket flushes immediately.  The timed-out
-//! gate matters: a spurious condvar wakeup (or a wake for an admission
-//! into a *different* bucket of the shard) returns early from the wait
-//! and must not masquerade as a quiet arrival stream, or every young
-//! bucket would flush at size 1 and coalescing would silently die.
-//! The delay window is the throughput/latency knob: paper Eq. 9 says
-//! array utilisation under pipelining is B/(B + fill/drain), so
-//! holding the window open buys a larger B at a bounded latency cost —
-//! but only while requests are still arriving to coalesce.
+//! A bucket is ready when it holds `max_batch` riders, when its oldest
+//! rider has waited `max_delay`, or when the server starts draining.
+//! The default `max_delay` is zero, so the flush is work-conserving: a
+//! free dispatcher takes every pending bucket of its shard at once, and
+//! a batch is whatever piled up while it ran the previous flush.  Paper
+//! Eq. 9 (utilisation B/(B + fill/drain)) would pay for holding buckets
+//! open on the simulated arrays, but the direct kernels the server runs
+//! have no fill or drain: a hold window would buy only amortised
+//! dispatch overhead, which the dispatcher's own busy time already
+//! buys.  A nonzero `max_delay` is an explicit hold window.  A wake-up
+//! (an admission, a stray notify) only re-evaluates readiness, so it
+//! can never flush a young bucket early.  Admission and wake-up are
+//! separable ([`Queue::admit`], [`Queue::wake`]): the server wakes each
+//! class once per connection burst, so the whole burst is pending when
+//! the dispatcher looks.
 //!
 //! Backpressure is enforced at admission in two tiers: at or beyond
 //! `shed_queue` queued requests `submit` sheds with
@@ -57,14 +58,10 @@ pub struct QueueConfig {
     pub shed_queue: usize,
     /// Flush a bucket as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a bucket when its oldest rider has waited this long.
+    /// Flush a bucket when its oldest rider has waited this long.  Zero
+    /// (the default) holds nothing: a free dispatcher flushes whatever
+    /// is pending.
     pub max_delay: Duration,
-    /// How long a shard's dispatcher waits for a further admission
-    /// before concluding the arrival stream has paused and flushing
-    /// partial buckets early.  Small against any useful `max_delay`,
-    /// large against the admission path itself, so bursts still
-    /// coalesce.
-    pub drain_tick: Duration,
 }
 
 impl Default for QueueConfig {
@@ -73,8 +70,7 @@ impl Default for QueueConfig {
             max_queue: 1024,
             shed_queue: 768,
             max_batch: 16,
-            max_delay: Duration::from_millis(5),
-            drain_tick: Duration::from_micros(500),
+            max_delay: Duration::ZERO,
         }
     }
 }
@@ -84,7 +80,8 @@ impl Default for QueueConfig {
 /// client-visible end of the request).
 #[derive(Clone, Copy, Debug)]
 pub struct SpanTimes {
-    /// Admission → bucket flush (the coalescing delay-window wait), µs.
+    /// Admission → bucket flush (waiting for a free dispatcher, plus
+    /// any hold window), µs.
     pub coalesce_us: u64,
     /// Bucket flush → a pool worker picked the batch up, µs.
     pub queue_us: u64,
@@ -103,8 +100,8 @@ pub struct JobResponse {
     /// Size of the coalesced batch this job rode in.
     pub batch: usize,
     /// Which backend ran the bucket — `None` when no engine ran (the
-    /// job expired at dispatch or the bucket failed before routing),
-    /// so expirations can never masquerade as simulator work.
+    /// job expired at dispatch), so expirations can never masquerade
+    /// as engine work.
     pub engine: Option<crate::engine::EngineKind>,
     /// Phase timings for the span pipeline.
     pub span: SpanTimes,
@@ -192,9 +189,9 @@ const FLUSH_STALE: Duration = Duration::from_secs(2);
 /// *measured* drain rate: jobs flushed across the log divided by the
 /// span from the oldest sample to `now`.  With no usable history (cold
 /// server, stalled dispatchers, or a zero-rate degenerate window) it
-/// falls back to the window-derived estimate — one `max_delay` per
-/// excess `max_batch`-sized flush — which is also the pre-measurement
-/// behaviour, so a fresh server still hints at least one full window.
+/// falls back to the window-derived estimate — one `max_delay`, at
+/// least 1 ms, per excess `max_batch`-sized flush — so a fresh server
+/// never hints 0, even with the default zero window.
 pub fn drain_hint_ms(
     excess_over: usize,
     flushes: &VecDeque<(Instant, usize)>,
@@ -224,16 +221,9 @@ struct Bucket {
     opened: Instant,
 }
 
-struct ShardInner {
-    /// Open buckets of this class, keyed by shape.
-    buckets: HashMap<u64, Bucket>,
-    /// Admission counter; the dispatcher compares it across a timed
-    /// wait to detect a paused arrival stream.
-    seq: u64,
-}
-
 struct Shard {
-    inner: Mutex<ShardInner>,
+    /// Open buckets of this class, keyed by shape.
+    buckets: Mutex<HashMap<u64, Bucket>>,
     cv: Condvar,
 }
 
@@ -263,10 +253,7 @@ impl Queue {
             shards: CLASSES
                 .iter()
                 .map(|_| Shard {
-                    inner: Mutex::new(ShardInner {
-                        buckets: HashMap::new(),
-                        seq: 0,
-                    }),
+                    buckets: Mutex::new(HashMap::new()),
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -288,8 +275,20 @@ impl Queue {
         Arc::clone(&self.depth_gauge)
     }
 
-    /// Admits a job, or rejects it with a typed backpressure error.
+    /// Admits a job, or rejects it with a typed backpressure error, and
+    /// wakes its class's dispatcher.
     pub fn submit(&self, job: Job) -> Result<(), SdpError> {
+        let class = job.body.class();
+        self.admit(job)?;
+        self.wake(class);
+        Ok(())
+    }
+
+    /// [`Queue::submit`] without the wake-up.  A caller admitting a
+    /// burst wakes each class once afterwards ([`Queue::wake`]): woken
+    /// per admission, a dispatcher that preempts the admitting thread
+    /// can take every request of the burst alone.
+    pub fn admit(&self, job: Job) -> Result<(), SdpError> {
         if self.draining.load(Ordering::Acquire) {
             return Err(SdpError::ShuttingDown);
         }
@@ -312,15 +311,14 @@ impl Queue {
         let class = job.body.class();
         let shape = job.body.shape_key();
         let shard = &self.shards[class.index()];
-        let mut s = lock_recover(&shard.inner);
+        let mut buckets = lock_recover(&shard.buckets);
         // Re-check under the shard lock: `start_drain` takes every
         // shard lock after setting the flag, so a submit that passes
         // here is guaranteed to be seen by the final drain flush.
         if self.draining.load(Ordering::Acquire) {
             return Err(SdpError::ShuttingDown);
         }
-        s.seq += 1;
-        s.buckets
+        buckets
             .entry(shape)
             .or_insert_with(|| Bucket {
                 jobs: Vec::new(),
@@ -330,9 +328,12 @@ impl Queue {
             .push(job);
         let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.depth_gauge.set(depth as i64);
-        drop(s);
-        shard.cv.notify_one();
         Ok(())
+    }
+
+    /// Wakes the dispatcher of `class` to flush what was admitted.
+    pub fn wake(&self, class: Class) {
+        self.shards[class.index()].cv.notify_one();
     }
 
     /// Stops admitting work and wakes every shard dispatcher so
@@ -342,7 +343,7 @@ impl Queue {
         for shard in &self.shards {
             // Taking the lock orders this wake after any in-flight
             // submit that passed its drain re-check.
-            let _guard = lock_recover(&shard.inner);
+            let _guard = lock_recover(&shard.buckets);
             shard.cv.notify_all();
         }
     }
@@ -353,19 +354,15 @@ impl Queue {
     /// draining and the shard is empty.
     pub fn next_batches_for(&self, class: Class) -> Option<Vec<Vec<Job>>> {
         let shard = &self.shards[class.index()];
-        let mut s = lock_recover(&shard.inner);
-        // True only after a full drain_tick wait genuinely timed out
-        // with the shard's admission counter unchanged.
-        let mut paused = false;
+        let mut buckets = lock_recover(&shard.buckets);
         loop {
             let now = Instant::now();
             let draining = self.draining.load(Ordering::Acquire);
             let mut next_deadline: Option<Instant> = None;
             let mut ready_keys = Vec::new();
-            for (&shape, bucket) in &s.buckets {
+            for (&shape, bucket) in buckets.iter() {
                 let deadline = bucket.opened + self.cfg.max_delay;
-                if draining || paused || bucket.jobs.len() >= self.cfg.max_batch || deadline <= now
-                {
+                if draining || bucket.jobs.len() >= self.cfg.max_batch || deadline <= now {
                     ready_keys.push(shape);
                 } else {
                     next_deadline =
@@ -379,7 +376,7 @@ impl Queue {
                 let mut out = Vec::with_capacity(ready_keys.len());
                 let mut flushed = 0usize;
                 for key in ready_keys {
-                    let bucket = s.buckets.remove(&key).expect("key just seen");
+                    let bucket = buckets.remove(&key).expect("key just seen");
                     flushed += bucket.jobs.len();
                     // A bucket that outgrew the cap while the dispatcher
                     // was busy still dispatches in `max_batch`-sized
@@ -395,7 +392,7 @@ impl Queue {
                 }
                 let depth = self.depth.fetch_sub(flushed, Ordering::Relaxed) - flushed;
                 self.depth_gauge.set(depth as i64);
-                drop(s);
+                drop(buckets);
                 let mut log = lock_recover(&self.flushes);
                 if log.len() == FLUSH_LOG {
                     log.pop_front();
@@ -406,30 +403,18 @@ impl Queue {
             if draining {
                 return None;
             }
-            if next_deadline.is_none() {
-                // Empty shard: park until an admission or drain wakes
-                // us; nothing is aging, so no tick is needed.
-                s = shard.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-                paused = false;
-                continue;
-            }
-            // With buckets pending, wait at most one drain_tick so the
-            // arrival-pause check below runs even when every deadline
-            // is far out.
-            let timeout = next_deadline
-                .map(|d| d.saturating_duration_since(now).min(self.cfg.drain_tick))
-                .unwrap_or(self.cfg.max_delay);
-            let seen_seq = s.seq;
-            let (guard, res) = shard
-                .cv
-                .wait_timeout(s, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            s = guard;
-            // The arrival stream counts as paused only when the wait
-            // ran its full course *and* nothing was admitted to this
-            // shard meanwhile.  A notify (real or spurious) that beats
-            // the tick re-evaluates without flushing young buckets.
-            paused = res.timed_out() && s.seq == seen_seq && !s.buckets.is_empty();
+            // Park until an admission or drain wakes us: indefinitely on
+            // an empty shard, else until the first hold window expires.
+            buckets = match next_deadline {
+                None => shard.cv.wait(buckets).unwrap_or_else(|e| e.into_inner()),
+                Some(d) => {
+                    shard
+                        .cv
+                        .wait_timeout(buckets, d.saturating_duration_since(now))
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 
@@ -438,7 +423,7 @@ impl Queue {
     #[cfg(test)]
     pub(crate) fn poke(&self) {
         for shard in &self.shards {
-            let _guard = lock_recover(&shard.inner);
+            let _guard = lock_recover(&shard.buckets);
             shard.cv.notify_all();
         }
     }
@@ -472,7 +457,6 @@ mod tests {
             shed_queue: shed,
             max_batch,
             max_delay: delay,
-            ..QueueConfig::default()
         }
     }
 
@@ -517,49 +501,47 @@ mod tests {
     }
 
     #[test]
-    fn lone_job_on_an_idle_queue_flushes_long_before_the_window() {
-        let q = Queue::new(cfg(64, 64, 100, Duration::from_secs(3600)));
+    fn a_lone_job_flushes_at_once_by_default() {
+        // The default holds no window: a free dispatcher takes a lone
+        // job without waiting for company.
+        assert_eq!(QueueConfig::default().max_delay, Duration::ZERO);
+        let q = Queue::new(QueueConfig::default());
         let (j, _r) = job("ab", "cd");
-        let t0 = Instant::now();
         q.submit(j).unwrap();
         let batches = q.next_batches_for(Class::Edit).expect("not draining");
+        assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), 1);
-        assert!(
-            t0.elapsed() < Duration::from_secs(60),
-            "adaptive flush must not wait out the hour-long window"
-        );
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
-    fn adaptive_flush_still_coalesces_a_burst() {
-        // Three same-shape jobs admitted back-to-back must ride one
-        // batch: the pause check fires only after a tick with no new
-        // admissions, and all three are already queued by then.
-        let q = Queue::new(cfg(64, 64, 100, Duration::from_secs(3600)));
+    fn jobs_admitted_before_the_dispatcher_looks_ride_one_batch() {
+        // Work-conserving coalescing: three same-shape jobs that pile
+        // up while the dispatcher is elsewhere all ride its next flush,
+        // whether it was woken or not.
+        let q = Queue::new(QueueConfig::default());
         let mut rxs = Vec::new();
         for (a, b) in [("ab", "cd"), ("ef", "gh"), ("ij", "kl")] {
             let (j, r) = job(a, b);
-            q.submit(j).unwrap();
+            q.admit(j).unwrap();
             rxs.push(r);
         }
         let batches = q.next_batches_for(Class::Edit).expect("not draining");
         assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].len(), 3, "burst coalesced into one batch");
+        assert_eq!(batches[0].len(), 3, "pending jobs coalesced into one batch");
     }
 
     #[test]
     fn a_young_bucket_survives_a_stray_notify_all() {
-        // Regression for the spurious-wakeup bug: any condvar wakeup
-        // with an unchanged seq used to count as "stream drained" and
-        // flush every open bucket at size 1.  With the pause signal
-        // gated on a genuinely timed-out wait, a stray notify_all must
-        // leave a young bucket coalescing.
+        // Regression for the spurious-wakeup bug, where a stray wakeup
+        // flushed every open bucket at size 1.  A wakeup only
+        // re-evaluates readiness, so under a hold window a stray
+        // notify_all must leave a young bucket coalescing.
         let q = Arc::new(Queue::new(QueueConfig {
             max_queue: 64,
             shed_queue: 64,
             max_batch: 2,
             max_delay: Duration::from_secs(3600),
-            drain_tick: Duration::from_secs(3600),
         }));
         let (j1, _r1) = job("ab", "cd");
         q.submit(j1).unwrap();
@@ -641,6 +623,10 @@ mod tests {
         let now = Instant::now();
         assert_eq!(drain_hint_ms(0, &empty, now, window, 16), 300);
         assert_eq!(drain_hint_ms(40, &empty, now, window, 16), 900);
+        // The default zero window still hints 1 ms per excess batch,
+        // never 0.
+        assert_eq!(drain_hint_ms(0, &empty, now, Duration::ZERO, 16), 1);
+        assert_eq!(drain_hint_ms(40, &empty, now, Duration::ZERO, 16), 3);
         // A single sample is not a rate either.
         let mut one = VecDeque::new();
         one.push_back((now, 16usize));

@@ -14,18 +14,20 @@
 //! per-class result cache, submit to the sharded admission queue, and
 //! carry on servicing other sockets; the dispatcher routes the
 //! completion back to the owning worker through its completion inbox
-//! and wake pipe.  One dispatcher thread per engine class pulls
-//! coalesced buckets off its queue shard and fans multi-bucket flushes
-//! out over a [`StealPool`].
+//! and wake pipe.  One dispatcher thread per engine class takes every
+//! pending bucket off its queue shard as soon as it is free, runs them
+//! on the `sdp-backend` direct solvers ([`engine::run_bucket`]), and
+//! fans multi-bucket flushes out over a [`StealPool`].
 //!
 //! Connections are pipelined: every buffered request line is admitted
-//! at once, so a client's whole window can coalesce into one bucket
-//! (paper Eq. 9 pays only when a bucket holds many instances).  Each
-//! line that produces a reply takes the next slot of the connection's
-//! reply queue; completions fill their slot by sequence number, and
-//! only the ready prefix of the queue is written, so replies leave in
-//! request-line order.  [`PENDING_CAP`] bounds what one connection
-//! holds between read and reply.
+//! before the class dispatchers are woken, so a client's buffered
+//! window lands in one bucket and what arrives while a dispatcher is
+//! busy rides its next flush.  Each line that produces a reply takes
+//! the next slot of the connection's reply queue; completions fill
+//! their slot by sequence number, and only the ready prefix of the
+//! queue is written, so replies leave in request-line order.
+//! [`PENDING_CAP`] bounds what one connection holds between read and
+//! reply.
 //!
 //! Per-socket watchdog semantics survive the rewrite: a connection
 //! with no complete request line for `idle_timeout` is reaped (the
@@ -43,7 +45,7 @@
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::cache::LruCache;
-use crate::engine;
+use crate::engine::{self, EngineKind};
 use crate::evloop::{poll_fds, wake_pipe, PollFd, WakeHandle, WakePipe, POLLIN, POLLOUT};
 use crate::metrics::{Metrics, PHASES};
 use crate::protocol::{self, Body, Class, Request, CLASSES};
@@ -222,7 +224,6 @@ pub fn serve(cfg: Config) -> std::io::Result<ServerHandle> {
         shed_queue: cfg.shed_queue,
         max_batch: cfg.max_batch,
         max_delay: cfg.max_delay,
-        drain_tick: cfg.drain_tick,
     };
     let metrics = Metrics::new(cfg.workers);
     let breaker_cfg = BreakerConfig {
@@ -405,11 +406,9 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
     let jobs = live;
     let bodies: Vec<_> = jobs.iter().map(|j| j.body.clone()).collect();
     let size = jobs.len();
-    // Route by problem size: the crossover threshold sends large
-    // buckets to the compiled direct solvers, small ones to the
-    // cycle-accurate simulators.  Answers are bit-identical either way.
-    let kind = engine::choose(&bodies, shared.cfg.direct_threshold);
-    shared.metrics.dispatched_batch(class, size, kind);
+    shared
+        .metrics
+        .dispatched_batch(class, size, EngineKind::Direct);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Some(chaos) = &shared.cfg.chaos {
             match chaos.on_dispatch() {
@@ -424,7 +423,7 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
                 }
             }
         }
-        engine::run_bucket_on(kind, class, &bodies)
+        engine::run_bucket(class, &bodies)
     }));
     breaker.record(outcome.is_ok());
     let results = outcome.unwrap_or_else(|_| {
@@ -463,7 +462,7 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
         job.tx.send(JobResponse {
             result,
             batch: size,
-            engine: Some(kind),
+            engine: Some(EngineKind::Direct),
             span: SpanTimes {
                 coalesce_us,
                 queue_us,
@@ -851,15 +850,18 @@ fn push_compute_reply(conn: &mut Conn, text: &str, shared: &Shared) {
 /// prefix of the reply queue is released before every admission, so
 /// slots freed by delivered completions or inline replies admit the
 /// next lines in this same pass: a line left pending here would wait
-/// for an unrelated wake-up, since its bytes were already read.
+/// for an unrelated wake-up, since its bytes were already read.  Each
+/// class's dispatcher is woken once, after the last admission, so the
+/// connection's buffered window is pending as a whole when it looks.
 fn service_conn(conn: &mut Conn, slot: usize, gen: u64, shared: &Shared, route: &WorkerRoute) {
+    let mut admitted = [false; CLASSES.len()];
     loop {
         release(conn, shared);
         if conn.replies.len() >= PENDING_CAP || conn.close_after_flush || conn.dead {
-            return;
+            break;
         }
         let Some(next) = conn.pending.pop_front() else {
-            return;
+            break;
         };
         let reply = match next {
             Pending::TooLarge(bytes) => {
@@ -885,7 +887,13 @@ fn service_conn(conn: &mut Conn, slot: usize, gen: u64, shared: &Shared, route: 
                 handle_line(&line, shared, tx)
             }
         };
+        if let Reply::Waiting { class, .. } = reply {
+            admitted[class.index()] = true;
+        }
         conn.replies.push_back(reply);
+    }
+    for (&class, _) in CLASSES.iter().zip(admitted).filter(|(_, a)| *a) {
+        shared.queue.wake(class);
     }
 }
 
@@ -1049,8 +1057,8 @@ fn deliver_completion(conn: &mut Conn, seq: u64, resp: JobResponse, shared: &Sha
 
 /// The compute admission path.  Returns `Some(reply)` for an inline
 /// answer (cache hit, degraded fallback, typed rejection), `None` once
-/// the job is in flight and its reply will arrive through `tx` as a
-/// [`Completion`].
+/// the job is queued ([`service_conn`] wakes its dispatcher) and its
+/// reply will arrive through `tx` as a [`Completion`].
 fn handle_compute(
     id: i64,
     body: Body,
@@ -1101,7 +1109,7 @@ fn handle_compute(
         deadline,
         deadline_ms,
     };
-    match shared.queue.submit(job) {
+    match shared.queue.admit(job) {
         Ok(()) => None,
         Err(e) => {
             match &e {

@@ -123,7 +123,6 @@ fn the_per_connection_cap_bounds_admission() {
         let handle = sdp_serve::serve(Config {
             max_batch: 128,
             max_delay: window,
-            drain_tick: window,
             cache_capacity: 0,
             ..Config::default()
         })

@@ -54,17 +54,14 @@ fn zero_deadline_expires_typed_while_generous_deadline_succeeds() {
 #[test]
 fn shed_requests_carry_retry_hints_and_the_retry_policy_recovers() {
     watchdog("load-shed", Duration::from_secs(30), || {
-        // shed_queue 1 with a long coalescing window: the first queued
-        // job keeps depth at 1 for ~1 s, so a second request sheds.
-        // drain_tick is pinned to the window so the adaptive flush does
-        // not release the lone job the moment the arrival stream
-        // pauses, and the window is generous because the sibling tests
-        // in this binary compete for the same cores.
+        // shed_queue 1 with a long hold window: the first queued job
+        // keeps depth at 1 for ~1 s, so a second request sheds.  The
+        // window is generous because the sibling tests in this binary
+        // compete for the same cores.
         let window = Duration::from_millis(1000);
         let handle = sdp_serve::serve(Config {
             shed_queue: 1,
             max_delay: window,
-            drain_tick: window,
             cache_capacity: 0,
             ..Config::default()
         })
@@ -184,6 +181,34 @@ fn breaker_trips_degrades_small_inputs_and_recloses_after_probe() {
         let degraded = json::get(&doc, "degraded").and_then(json::as_i64).unwrap();
         assert!(degraded >= 1, "degraded counter missing the fallback");
 
+        handle.shutdown();
+    });
+}
+
+#[test]
+fn a_huge_knapsack_weight_is_answered_and_the_server_survives() {
+    watchdog("huge-weight", Duration::from_secs(30), || {
+        let handle = sdp_serve::serve(Config::default()).expect("bind");
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        // About 80 bytes each, yet the schedule of n + Σw + 2(C + 1)
+        // cycles runs to about 10^12: stall accounting must not be per
+        // cycle.
+        let weight = 1_000_000_000_000u64;
+        for capacity in [4095, 10] {
+            let line = format!(
+                r#"{{"id":1,"kind":"knapsack","weights":[{weight}],"values":[1],"capacity":{capacity}}}"#
+            );
+            let resp = c.call_raw(&line).expect("call");
+            assert!(resp.ok, "capacity {capacity}: {:?}", resp.error_message);
+            let payload = resp.result.expect("payload");
+            assert_eq!(json::get(&payload, "best").and_then(json::as_i64), Some(0));
+            let want = served::served_knapsack(&[(weight, 1)], capacity);
+            assert_eq!(json::get(&payload, "row"), json::get(&want, "row"));
+        }
+        let resp = c
+            .call_raw(&client::edit_request(2, "kitten", "sitting"))
+            .expect("call");
+        assert!(resp.ok, "{:?}", resp.error_message);
         handle.shutdown();
     });
 }

@@ -7,9 +7,9 @@
 //!
 //! Walks the whole wire protocol: a cold request, a cache hit on the
 //! repeat, a burst of same-shape requests that the server coalesces
-//! into one pipelined array pass (the paper's §6 instance pipelining,
-//! fed by live traffic), a typed error for a malformed line, the
-//! `metrics` snapshot, and a graceful `shutdown` drain.
+//! into one engine batch inside a 10 ms hold window, a typed error for
+//! a malformed line, the `metrics` snapshot, and a graceful `shutdown`
+//! drain.
 
 use std::time::Duration;
 use systolic_dp::serve::client::{self, Client};
@@ -42,8 +42,8 @@ fn main() -> std::io::Result<()> {
     );
 
     // --- a concurrent burst the coalescer can batch -------------------
-    // Eight clients ask same-shape chain problems inside one delay
-    // window; the server dispatches them as one array pass.
+    // Eight clients ask same-shape chain problems inside one hold
+    // window; the server dispatches them as one batch.
     let addr = handle.addr();
     let burst: Vec<_> = (0..8)
         .map(|i| {
